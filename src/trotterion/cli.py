@@ -28,7 +28,7 @@ from .compiler import (
     compile_second_order,
     compile_time_dependent,
 )
-from .gates import DurationModel, GateSequence, apply_sequence, sequence_stats, sequence_unitary
+from .gates import DurationModel, apply_sequence, sequence_stats, sequence_unitary
 from .metrics import GhzMeasurementRecord, ghz_fidelity, hofmann_bounds, process_fidelity, tangle2
 from .models import (
     CouplingGraph,
@@ -41,7 +41,7 @@ from .models import (
     xy2,
     xyz2,
 )
-from .noise import NoiseParams, _draw_eps, _success_probability, perturb_sequence
+from .noise import NoiseParams, sample_checkpoints
 from .oracle import propagator, time_ordered_propagator
 from .pauli import PauliString, StateVector, hamming_histogram
 
@@ -86,6 +86,9 @@ def load_scenario(ref: str) -> dict:
             raise ConfigError(f"scenario is missing required key {key!r}")
     if "noise" in cfg and "seed" not in cfg:
         raise ConfigError("a seed is mandatory when noise is requested")
+    name = cfg["name"]
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"scenario name {name!r} is not a plain file stem")
     return cfg
 
 
@@ -118,6 +121,8 @@ def _build_model(cfg: dict):
 
 
 def _compile(cfg: dict, model, ramp, steps_override: int | None = None) -> CompiledProgram:
+    if "sweep" in cfg:  # without an explicit theta a sweep compiles at theta_max
+        cfg = {"theta": float(cfg["sweep"]["theta_max"]), **cfg}
     method = cfg.get("method")
     steps = steps_override if steps_override is not None else cfg.get("steps")
     if method == "first_order":
@@ -208,39 +213,6 @@ def _exact_states(cfg, model, ramp, psi0, thetas):
     return [StateVector(psi0.n, propagator(model, th) @ psi0.amps) for th in thetas]
 
 
-def _noisy_rows(seq: GateSequence, psi0, obs_fns, checkpoints, noise_cfg, seed):
-    params = NoiseParams(
-        sigma_rel=noise_cfg.get("sigma_rel", 0.0),
-        miscal=noise_cfg.get("miscal", {}),
-        shots=noise_cfg.get("shots", 200),
-        seed=seed,
-    )
-    from .noise import _apply_params
-
-    cps = list(checkpoints)
-    hits = np.zeros((len(cps), len(obs_fns)))
-    for shot in range(params.shots):
-        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(shot,)))
-        eps = _draw_eps(rng, params.sigma_rel)
-        noisy = _apply_params(seq, params, eps)
-        state = psi0
-        ci = 0
-        for i, g in enumerate(noisy.gates):
-            from .gates import apply_gate
-
-            state = apply_gate(state, g)
-            if ci < len(cps) and i + 1 == cps[ci]:
-                for j, (_, fn, is_prob) in enumerate(obs_fns):
-                    prob = fn(state) if is_prob else (1 + fn(state)) / 2
-                    hits[ci, j] += rng.random() < prob
-                ci += 1
-    prob = hits / params.shots
-    err_p = np.sqrt(np.clip(prob * (1 - prob), 1e-12, None) / params.shots)
-    est = np.array([[2 * p - 1 if not o[2] else p for p, o in zip(row, obs_fns)] for row in prob])
-    err = np.array([[2 * e if not o[2] else e for e, o in zip(row, obs_fns)] for row in err_p])
-    return est, err
-
-
 def _run_sweep(cfg, out_dir: str) -> str:
     """Sweep-mode execution: recompile a single-block program per point."""
     model, ramp, n = _build_model(cfg["model"])
@@ -250,9 +222,7 @@ def _run_sweep(cfg, out_dir: str) -> str:
     obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
     rows = []
     for th in thetas:
-        sub = dict(cfg["compile"])
-        sub["theta"] = float(th)
-        prog = _compile(sub, model, ramp)
+        prog = _compile(dict(cfg["compile"], theta=float(th)), model, ramp)
         state = apply_sequence(psi0, prog.sequence)
         exact = StateVector(n, propagator(model, th) @ psi0.amps)
         rows.append(("exact", th, [fn(exact) for _, fn, _ in obs_fns], None))
@@ -292,8 +262,15 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
     if "verify" in cfg:
         _verify(cfg, model, ramp, prog)
     if "noise" in cfg:
-        seed = seed_override if seed_override is not None else cfg["seed"]
-        est, err = _noisy_rows(prog.sequence, psi0, obs_fns, prog.checkpoints, cfg["noise"], seed)
+        noise = cfg["noise"]
+        params = NoiseParams(
+            sigma_rel=noise.get("sigma_rel", 0.0),
+            miscal=noise.get("miscal", {}),
+            shots=noise.get("shots", 200),
+            seed=seed_override if seed_override is not None else cfg["seed"],
+        )
+        outcomes = [(fn, is_prob) for _, fn, is_prob in obs_fns]
+        est, err = sample_checkpoints(prog.sequence, psi0, outcomes, prog.checkpoints, params)
         for th, vals, errs in zip(cp_thetas, est, err):
             rows.append(("noisy", th, list(vals), list(errs)))
     return _write_csv(cfg, out_dir, obs_fns, rows)
@@ -385,7 +362,10 @@ def bundled_fixture(name: str) -> str:
 
 
 def _cmd_run(args) -> int:
-    seed = int(os.environ["TROTTERION_SEED"]) if "TROTTERION_SEED" in os.environ else None
+    raw = os.environ.get("TROTTERION_SEED")
+    if raw is not None and not raw.strip().isdecimal():
+        raise ConfigError(f"TROTTERION_SEED must be a nonnegative integer, got {raw!r}")
+    seed = None if raw is None else int(raw)
     refs = args.scenario
     if args.jobs > 1 and len(refs) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -12,6 +12,10 @@ cos(phi) sigma_x + sin(phi) sigma_y):
 O4 is evaluated in the product sigma_phi eigenbasis, where the generator
 is diagonal with value (m^2 - n)/2 for total eigenvalue m, instead of by
 dense exponentiation; cost is O(n 2^n) per application.
+
+Each gate's action is written once, in a kernel on amplitude arrays of
+shape (2^n,) or (2^n, k): each of the k columns is a separate state, and
+theta is one scalar for all columns or one phase per column.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import DimensionError, StateVector, _apply_single_spin
+from .pauli import DimensionError, StateVector, _apply_single_spin, _check_n, _popcounts
 
 GATE_KINDS = ("O1", "O2", "O3", "O4")
 
@@ -131,45 +135,50 @@ def _phi_basis_change(phi: float) -> np.ndarray:
     return np.array([[1, 1], [e, -e]], dtype=complex) / np.sqrt(2)
 
 
-def _popcounts(n: int) -> np.ndarray:
-    return np.array([bin(i).count("1") for i in range(2**n)])
-
-
 def _z_totals(n: int) -> np.ndarray:
     """Sum of sigma_z eigenvalues per basis index (set bit = spin down = -1)."""
     return n - 2 * _popcounts(n)
 
 
-def apply_gate(state: StateVector, g: GateOp) -> StateVector:
-    """exp(-i theta G)|psi> for the generator G of the gate kind."""
-    n = state.n
-    amps = state.amps
+def _each_spin(amps: np.ndarray, n: int, mat: np.ndarray) -> np.ndarray:
+    for j in range(n):
+        amps = _apply_single_spin(amps, n, j, mat)
+    return amps
+
+
+def _diagonal(amps: np.ndarray, theta: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """exp(-i theta D) for a diagonal generator D; theta scalar or per column."""
+    gen = gen.reshape(gen.shape + (1,) * (amps.ndim - 1))
+    return amps * np.exp(-1j * theta * gen)
+
+
+def _evolve(amps: np.ndarray, n: int, g: GateOp, theta) -> np.ndarray:
+    """exp(-i theta G) for the generator G of the gate kind.
+
+    ``amps`` has shape (2^n,) or (2^n, k); ``theta`` is a scalar or one
+    phase per column, broadcast along the column axis.
+    """
+    theta = np.asarray(theta, dtype=float)
     if g.kind == "O1":
         if not 0 <= g.target < n:
             raise DimensionError(f"O1 target {g.target} out of range for n={n}")
-        z = 1 - 2 * ((np.arange(2**n) >> g.target) & 1)
-        return StateVector(n, amps * np.exp(-1j * g.theta * z))
+        return _diagonal(amps, theta, 1 - 2 * ((np.arange(2**n) >> g.target) & 1))
     if g.kind == "O2":
-        return StateVector(n, amps * np.exp(-1j * g.theta * _z_totals(n)))
+        return _diagonal(amps, theta, _z_totals(n))
     if g.kind == "O3":
-        c, s = np.cos(g.theta), np.sin(g.theta)
-        sig = np.array(
-            [[0, np.exp(-1j * g.phi)], [np.exp(1j * g.phi), 0]], dtype=complex
-        )
-        rot = c * np.eye(2) - 1j * s * sig
-        for j in range(n):
-            amps = _apply_single_spin(amps, n, j, rot)
-        return StateVector(n, amps)
+        sig = np.array([[0, np.exp(-1j * g.phi)], [np.exp(1j * g.phi), 0]], dtype=complex)
+        c, s = np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
+        return _each_spin(amps, n, c * np.eye(2) - 1j * s * sig)
     # O4: rotate into the product sigma_phi eigenbasis, apply diagonal phases
     v = _phi_basis_change(g.phi)
-    vdag = v.conj().T
-    for j in range(n):
-        amps = _apply_single_spin(amps, n, j, vdag)
+    amps = _each_spin(amps, n, v.conj().T)
     m = _z_totals(n)  # popcount counts -1 eigenvectors in the rotated basis
-    amps = amps * np.exp(-1j * g.theta * (m**2 - n) / 2)
-    for j in range(n):
-        amps = _apply_single_spin(amps, n, j, v)
-    return StateVector(n, amps)
+    return _each_spin(_diagonal(amps, theta, (m**2 - n) / 2), n, v)
+
+
+def apply_gate(state: StateVector, g: GateOp) -> StateVector:
+    """exp(-i theta G)|psi> for the generator G of the gate kind."""
+    return StateVector(state.n, _evolve(state.amps, state.n, g, g.theta))
 
 
 def apply_sequence(state: StateVector, seq: GateSequence) -> StateVector:
@@ -182,40 +191,15 @@ def apply_sequence(state: StateVector, seq: GateSequence) -> StateVector:
 
 def gate_unitary(g: GateOp, n: int) -> np.ndarray:
     """Dense unitary of a single gate on n spins."""
-    from .pauli import _check_n
-
     _check_n(n)
-    d = 2**n
-    if g.kind == "O1":
-        z = 1 - 2 * ((np.arange(d) >> g.target) & 1)
-        return np.diag(np.exp(-1j * g.theta * z))
-    if g.kind == "O2":
-        return np.diag(np.exp(-1j * g.theta * _z_totals(n)))
-    if g.kind == "O3":
-        c, s = np.cos(g.theta), np.sin(g.theta)
-        sig = np.array(
-            [[0, np.exp(-1j * g.phi)], [np.exp(1j * g.phi), 0]], dtype=complex
-        )
-        rot = c * np.eye(2) - 1j * s * sig
-        out = np.array([[1.0 + 0j]])
-        for _ in range(n):
-            out = np.kron(rot, out)
-        return out
-    v = _phi_basis_change(g.phi)
-    w = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        w = np.kron(v, w)
-    m = _z_totals(n)
-    phases = np.exp(-1j * g.theta * (m**2 - n) / 2)
-    return (w * phases) @ w.conj().T
+    return _evolve(np.eye(2**n, dtype=complex), n, g, g.theta)
 
 
 def sequence_unitary(seq: GateSequence) -> np.ndarray:
     """Right-to-left product of gate unitaries; the first gate acts first."""
-    d = 2**seq.n
-    u = np.eye(d, dtype=complex)
+    u = np.eye(2**seq.n, dtype=complex)
     for g in seq.gates:
-        u = gate_unitary(g, seq.n) @ u
+        u = _evolve(u, seq.n, g, g.theta)
     return u
 
 

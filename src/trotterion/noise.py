@@ -5,14 +5,22 @@ coupling strength: constant within one sequence, Gaussian from sequence
 to sequence. Entangling and light-shift phases scale quadratically with
 the coupling, collective-rotation phases linearly, so one relative
 error epsilon perturbs a whole sequence coherently.
+
+Sampled ensembles share one draw contract. Shot k draws from its own
+stream ``default_rng(SeedSequence(seed, spawn_key=(k,)))``: first epsilon
+(sigma_rel times a normal, redrawn while epsilon <= -1), then one uniform
+per (checkpoint, observable) in row-major order; a uniform below the
+success probability of the shot's state is a hit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .gates import GateOp, GateSequence, apply_sequence
+from .gates import GATE_KINDS, GateOp, GateSequence, _evolve, apply_sequence
 from .pauli import PauliString, StateVector, expectation
 
 _QUADRATIC_KINDS = ("O1", "O2", "O4")
@@ -33,7 +41,7 @@ class NoiseParams:
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1")
         for kind, err in self.miscal.items():
-            if kind not in ("O1", "O2", "O3", "O4"):
+            if kind not in GATE_KINDS:
                 raise ValueError(f"unknown gate kind {kind!r}")
             if abs(err) >= 0.1:
                 raise ValueError("miscalibration must stay below 10%")
@@ -52,19 +60,16 @@ class ShotEnsemble:
         object.__setattr__(self, "errors", np.asarray(self.errors, dtype=float))
 
 
+def _phase_scale(kind: str, eps: float) -> float:
+    return (1 + eps) ** 2 if kind in _QUADRATIC_KINDS else 1 + eps
+
+
 def perturb_sequence(seq: GateSequence, eps: float) -> GateSequence:
     """Scale every gate phase by the stated power of (1 + eps)."""
     if eps <= -1:
         raise ValueError("relative coupling error must exceed -1")
-    scale2 = (1 + eps) ** 2
     gates = tuple(
-        GateOp(
-            g.kind,
-            g.theta * (scale2 if g.kind in _QUADRATIC_KINDS else 1 + eps),
-            g.phi,
-            g.target,
-        )
-        for g in seq.gates
+        GateOp(g.kind, g.theta * _phase_scale(g.kind, eps), g.phi, g.target) for g in seq.gates
     )
     return GateSequence(seq.n, gates, dict(seq.metadata))
 
@@ -80,32 +85,21 @@ def apply_miscalibration(program, kind: str, rel_err: float):
     )
     out = GateSequence(seq.n, gates, dict(seq.metadata))
     if hasattr(program, "sequence"):
-        from dataclasses import replace
-
         return replace(program, sequence=out)
     return out
 
 
-def _apply_params(seq: GateSequence, params: NoiseParams, eps: float) -> GateSequence:
+def _miscalibrated(seq: GateSequence, params: NoiseParams) -> GateSequence:
     for kind, err in params.miscal.items():
         seq = apply_miscalibration(seq, kind, err)
-    if eps != 0.0:
-        seq = perturb_sequence(seq, eps)
     return seq
 
 
-def _observe(state: StateVector, obs) -> float:
-    """Expectation of a Pauli string, or any callable on the state."""
+def _outcome(obs):
+    """(value function, is_probability) of a Pauli string or probability callable."""
     if isinstance(obs, PauliString):
-        return expectation(state, obs)
-    return float(obs(state))
-
-
-def _success_probability(state: StateVector, obs) -> float:
-    """Probability of the favorable outcome for one projective sample."""
-    if isinstance(obs, PauliString):
-        return (1 + expectation(state, obs)) / 2
-    return float(obs(state))
+        return partial(expectation, p=obs), False
+    return obs, True
 
 
 def _draw_eps(rng, sigma: float) -> float:
@@ -116,6 +110,45 @@ def _draw_eps(rng, sigma: float) -> float:
             return eps
 
 
+def shot_states(seq: GateSequence, psi0: StateVector, eps, checkpoints) -> Iterator[np.ndarray]:
+    """Yield amplitudes (2^n, shots) at each checkpoint, one column per epsilon.
+
+    Column k is ``apply_sequence(psi0, perturb_sequence(seq, eps[k]))``
+    stopped at the checkpoint, with perturb_sequence's phase arithmetic.
+    """
+    if min(eps) <= -1:
+        raise ValueError("relative coupling error must exceed -1")
+    scale = {kind: np.array([_phase_scale(kind, e) for e in eps]) for kind in GATE_KINDS}
+    amps = np.repeat(psi0.amps[:, None], len(eps), axis=1)
+    cps = set(checkpoints)
+    for i, g in enumerate(seq.gates, 1):
+        amps = _evolve(amps, seq.n, g, g.theta * scale[g.kind])
+        if i in cps:
+            yield amps
+
+
+def sample_checkpoints(seq: GateSequence, psi0: StateVector, outcomes, checkpoints, params):
+    """Estimates and binomial errors, shape (checkpoints, observables).
+
+    ``outcomes`` are (value function, is_probability) pairs; a hit
+    fraction p estimates a probability as p and an expectation as 2p - 1.
+    """
+    seq = _miscalibrated(seq, params)
+    eps, uniforms = [], []
+    for shot in range(params.shots):
+        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(shot,)))
+        eps.append(_draw_eps(rng, params.sigma_rel))
+        uniforms.append(rng.random((len(checkpoints), len(outcomes))))
+    is_prob = np.array([p for _, p in outcomes])
+    hits = []
+    for amps, u in zip(shot_states(seq, psi0, eps, checkpoints), np.swapaxes(uniforms, 0, 1)):
+        prob = np.array([[fn(StateVector(seq.n, col)) for fn, _ in outcomes] for col in amps.T])
+        hits.append((u < np.where(is_prob, prob, (1 + prob) / 2)).sum(axis=0))
+    p = np.array(hits) / params.shots
+    err_p = np.sqrt(np.clip(p * (1 - p), 1e-12, None) / params.shots)
+    return np.where(is_prob, p, 2 * p - 1), np.where(is_prob, err_p, 2 * err_p)
+
+
 def run_noisy_ensemble(
     program,
     psi0: StateVector,
@@ -124,32 +157,22 @@ def run_noisy_ensemble(
 ) -> ShotEnsemble:
     """Monte-Carlo estimate of observables under per-sequence fluctuation.
 
-    One epsilon is drawn per shot from an independent substream of
-    (seed, shot index), the whole perturbed sequence is propagated, and
-    each observable contributes one projective sample. With shots=None
-    the exact expectations of the unperturbed (but miscalibrated)
-    sequence are returned.
+    Shot k draws from the substream (params.seed, k): its epsilon first,
+    then one uniform per observable, in order (the module's contract with
+    the end of the sequence as the only checkpoint). Each observable, a
+    Pauli string or a callable giving a success probability, contributes
+    one projective sample per shot. With shots=None the exact
+    expectations of the unperturbed (but miscalibrated) sequence are
+    returned.
     """
     seq = program.sequence if hasattr(program, "sequence") else program
-    observables = list(observables)
+    outcomes = [_outcome(o) for o in observables]
     if params.shots is None:
-        clean = _apply_params(seq, params, 0.0)
-        out = apply_sequence(psi0, clean)
-        vals = np.array([_observe(out, p) for p in observables])
+        out = apply_sequence(psi0, _miscalibrated(seq, params))
+        vals = np.array([fn(out) for fn, _ in outcomes], dtype=float)
         return ShotEnsemble(0, vals, np.zeros_like(vals))
-    pauli = [isinstance(p, PauliString) for p in observables]
-    hits = np.zeros(len(observables))
-    for shot in range(params.shots):
-        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(shot,)))
-        eps = _draw_eps(rng, params.sigma_rel)
-        out = apply_sequence(psi0, _apply_params(seq, params, eps))
-        for i, p in enumerate(observables):
-            hits[i] += rng.random() < _success_probability(out, p)
-    prob = hits / params.shots
-    err_p = np.sqrt(np.clip(prob * (1 - prob), 1e-12, None) / params.shots)
-    est = np.where(pauli, 2 * prob - 1, prob)
-    err = np.where(pauli, 2 * err_p, err_p)
-    return ShotEnsemble(params.shots, est, err)
+    est, err = sample_checkpoints(seq, psi0, outcomes, (len(seq),), params)
+    return ShotEnsemble(params.shots, est[-1], err[-1])
 
 
 def ensemble_mean_expectation(
@@ -166,12 +189,8 @@ def ensemble_mean_expectation(
     sigma_rel times the k-th unit normal of the seed's stream, so sweeps
     over sigma_rel are directly comparable.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(samples)
+    z = np.random.default_rng(seed).standard_normal(samples)
     seq = program.sequence if hasattr(program, "sequence") else program
-    total = 0.0
-    for zk in z:
-        eps = max(sigma_rel * zk, -1 + 1e-12)
-        out = apply_sequence(psi0, perturb_sequence(seq, eps) if eps else seq)
-        total += _observe(out, observable)
-    return total / samples
+    (amps,) = shot_states(seq, psi0, np.maximum(sigma_rel * z, -1 + 1e-12), (len(seq),))
+    fn, _ = _outcome(observable)
+    return float(np.mean([fn(StateVector(seq.n, col)) for col in amps.T]))

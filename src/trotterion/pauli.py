@@ -10,6 +10,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,15 +184,21 @@ class DensityMatrix:
 def _apply_single_spin(amps: np.ndarray, n: int, j: int, mat: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to spin j of an amplitude vector or column batch.
 
-    Fortran-order reshape makes axis j correspond to bit j of the
-    little-endian amplitude index.
+    A (2^n, k) batch takes one 2x2 matrix for all columns, or a stack of
+    shape (k, 2, 2) with one matrix per column.
     """
-    shape = [2] * n + ([-1] if amps.ndim > 1 else [])
-    a = amps.reshape(shape, order="F")
-    a = np.moveaxis(a, j, 0)
-    a = np.tensordot(mat, a, axes=([1], [0]))
-    a = np.moveaxis(a, 0, j)
-    return a.reshape(amps.shape, order="F")
+    if amps.ndim == 1:
+        # Fortran-order reshape makes axis j correspond to bit j of the
+        # little-endian index; this one matrix product fixes the rounding
+        # that the statevector results (and the bundled CSVs) carry
+        a = np.moveaxis(amps.reshape([2] * n, order="F"), j, 0)
+        a = np.tensordot(mat, a, axes=([1], [0]))
+        return np.moveaxis(a, 0, j).reshape(amps.shape, order="F")
+    # axes: index bits above j, bit j, bits below j, column
+    a = amps.reshape(2 ** (n - 1 - j), 2, 2**j, amps.shape[1])
+    x0, x1 = a[:, 0], a[:, 1]
+    rows = [mat[..., r, 0] * x0 + mat[..., r, 1] * x1 for r in (0, 1)]
+    return np.stack(rows, axis=1).reshape(amps.shape)
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
@@ -211,13 +218,18 @@ def expectation(state: StateVector, p: PauliString) -> float:
     return float(np.clip(val.real, -1.0, 1.0))
 
 
+@lru_cache(maxsize=MAX_SPINS)
+def _popcounts(n: int) -> np.ndarray:
+    """Number of set bits (down spins) of every basis index; read-only."""
+    counts = np.array([bin(i).count("1") for i in range(2**n)])
+    counts.setflags(write=False)
+    return counts
+
+
 def hamming_histogram(state: StateVector) -> np.ndarray:
     """Probability of finding exactly i spins pointing down, i = 0..n."""
-    n = state.n
-    probs = state.probabilities()
-    weights = np.array([bin(i).count("1") for i in range(2**n)])
-    hist = np.zeros(n + 1)
-    np.add.at(hist, weights, probs)
+    hist = np.zeros(state.n + 1)
+    np.add.at(hist, _popcounts(state.n), state.probabilities())
     return hist
 
 

@@ -19,7 +19,7 @@ from trotterion.compiler import (
     compile_model_steps,
     compile_second_order,
 )
-from trotterion.gates import GateOp, GateSequence, apply_gate, sequence_unitary
+from trotterion.gates import GateOp, GateSequence, sequence_unitary
 from trotterion.metrics import (
     GhzMeasurementRecord,
     chi_overlap,
@@ -36,7 +36,7 @@ from trotterion.models import (
     xy2,
     xyz2,
 )
-from trotterion.noise import apply_miscalibration, perturb_sequence
+from trotterion.noise import apply_miscalibration, shot_states
 from trotterion.oracle import propagator, spectrum
 from trotterion.pauli import PauliString, StateVector, hamming_histogram
 from trotterion.spectral import (
@@ -201,19 +201,9 @@ def test_criterion_08_spectrum_of_digitized_trace():
 
 def _mean_population_trace(prog, sigma: float, z: np.ndarray):
     """Fluctuation-averaged P(all up) at each checkpoint, shared draws."""
-    psi0 = StateVector.all_up(2)
-    cps = prog.checkpoints
-    totals = np.zeros(len(cps))
-    for zk in z:
-        eps = max(sigma * zk, -1 + 1e-12)
-        seq = perturb_sequence(prog.sequence, eps) if eps else prog.sequence
-        state, ci = psi0, 0
-        for i, g in enumerate(seq.gates):
-            state = apply_gate(state, g)
-            if ci < len(cps) and i + 1 == cps[ci]:
-                totals[ci] += abs(state.amps[0]) ** 2
-                ci += 1
-    return totals / len(z)
+    eps = [max(sigma * zk, -1 + 1e-12) for zk in z]
+    states = shot_states(prog.sequence, StateVector.all_up(2), eps, prog.checkpoints)
+    return np.array([np.mean(np.abs(amps[0]) ** 2) for amps in states])
 
 
 def test_criterion_09_noise_damps_oscillation():

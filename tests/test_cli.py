@@ -1,5 +1,6 @@
 """Command line front end tests."""
 import csv
+import hashlib
 import json
 import os
 
@@ -16,12 +17,36 @@ from trotterion.cli import (
     parse_state,
     run_scenario,
 )
-from trotterion.pauli import StateVector
+from trotterion.compiler import compile_many_body
+from trotterion.pauli import PauliString, StateVector
 
 EXPECTED_SCENARIOS = {
     "fig1a_n1", "fig1a_n2", "fig1a_n3", "fig1a_n4", "fig1b",
     "fig2_ising", "fig2_xy", "fig2_xyz", "fig3a", "fig3b", "fig3c",
     "fig4a", "fig4b", "figs3", "figs6", "figs7", "figs8", "figs9",
+}
+
+
+# SHA-256 of every bundled scenario's CSV as written at commit e916c05
+BUNDLED_SHA256 = {
+    "fig1a_n1": "2f436dc43c63943c3204200ca510802f2295a828ab571c9ac7aa39926cdcb11f",
+    "fig1a_n2": "2dc5f45951850aaefa76b3275b98f644314c34d829c75a8c36f939a3cc049807",
+    "fig1a_n3": "df64b96804cd6773511acd000bc565ba92d3e8aaec4ee3f597deb2230e8089d4",
+    "fig1a_n4": "2ad06d33b88178ed637c9d5a27d71560abaabad756123c54ada048d2da923b10",
+    "fig1b": "94824c6936d3d98b2896db71f016a8a6a5bcd8f456ab1d2cf6e13ca6c4c7d688",
+    "fig2_ising": "e4bc050921f64a05f0460e8fee95172ae7bcbea0106a253114cdf46810a33de9",
+    "fig2_xy": "13e52973822e6abcc546d90b06851f974ff7369152417511b37eee528e8aed13",
+    "fig2_xyz": "acb782e6d9a2789b48ceae81ef7813c006b98c9b254e234362362e3222a4e58d",
+    "fig3a": "869ac7b5185391a966744e037ba89f3e18857f8bc7263c5e7cacf60abd127686",
+    "fig3b": "59fee1a08a6452795863d5fa7a0a29905933ca57ff14c034a7573529d979830b",
+    "fig3c": "67f51f4337baf768cc221e659c81f19039f575ffe6edc1f100af5db1099641ac",
+    "fig4a": "455a7e5da1cdfba07f860df8a4fbb0c6e0bf393194e088c8d1882f93f5dc8268",
+    "fig4b": "9aece2a88db816234ef1f147611da4aa3da7c5a5ee9c142c5f1bb13b1b31c653",
+    "figs3": "291f0834589ae26520b6f7a9e1f747c9acf46939eea17d372e272cb8fe0b9be1",
+    "figs6": "e053b51bbb895da9abcf6f4144a4af1a6ac4583cb1542894bb384fe58590eac2",
+    "figs7": "f1c6eed4a0dffaa193711f2c580b732c62fc6bf2de13f5ee76280e2391300b2f",
+    "figs8": "cde6c1401e5956246850f0a894da0b3b9c990b7eb50b9d48b0dc60657a978eb8",
+    "figs9": "596b810d5c2c47f0afbe89f91dc5129986664b128492ef574cc2cb04328b5313",
 }
 
 
@@ -74,6 +99,13 @@ def test_run_writes_expected_columns(tmp_path):
     assert thetas == sorted(thetas)
     for r in rows:
         assert 0.0 <= float(r["pop:z:uu"]) <= 1.0
+
+
+def test_bundled_outputs_byte_identical(tmp_path):
+    assert set(BUNDLED_SHA256) == EXPECTED_SCENARIOS
+    for name, want in BUNDLED_SHA256.items():
+        with open(run_scenario(name, str(tmp_path)), "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == want, name
 
 
 def test_run_is_deterministic(tmp_path):
@@ -145,6 +177,35 @@ def test_inspect_subcommand(capsys):
     assert main(["inspect", "fig1b"]) == 0
     out = capsys.readouterr().out
     assert "gates: 24" in out
+
+
+def test_sweep_scenario_compiles_at_theta_max(capsys):
+    gates = len(compile_many_body(PauliString.from_string("ZXX"), np.pi / 2).sequence)
+    assert main(["inspect", "fig3c"]) == 0
+    assert f"gates: {gates}" in capsys.readouterr().out
+    assert main(["compile", "fig3c"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == gates
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/x", "..", ".", ""])
+def test_exit_code_name_outside_out_dir(tmp_path, name):
+    cfg = json.loads((bundled_scenarios()["fig1a_n1"]).read_text())
+    cfg["name"] = name
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["out", "scenario.json"]
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_exit_code_bad_seed_env(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("TROTTERION_SEED", value)
+    assert main(["run", "fig1a_n1", "--out", str(tmp_path)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_jobs_flag(tmp_path):

@@ -9,6 +9,7 @@ from trotterion.gates import (
     DurationModel,
     GateOp,
     GateSequence,
+    _evolve,
     apply_gate,
     apply_sequence,
     gate_unitary,
@@ -72,10 +73,17 @@ def test_gate_unitary_matches_expm_oracle(case):
 def test_apply_gate_matches_unitary(case, seed):
     n, g = case
     rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    psi = StateVector(n, amps / np.linalg.norm(amps))
+    amps = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+    amps /= np.linalg.norm(amps, axis=0)
+    psi = StateVector(n, amps[:, 0])
     out = apply_gate(psi, g)
     assert np.allclose(out.amps, gate_unitary(g, n) @ psi.amps, atol=1e-10)
+    # a column batch with one phase per column: column k is apply_gate at theta_k
+    thetas = g.theta + rng.uniform(-1.0, 1.0, size=3)
+    batch = _evolve(amps, n, g, thetas)
+    for k, theta in enumerate(thetas):
+        want = apply_gate(StateVector(n, amps[:, k]), GateOp(g.kind, theta, g.phi, g.target))
+        assert np.allclose(batch[:, k], want.amps, rtol=0, atol=1e-12)
 
 
 def test_gate_op_validation():

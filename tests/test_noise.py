@@ -1,9 +1,13 @@
 """Coupling-fluctuation noise model tests."""
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from trotterion.cli import parse_observable, run_scenario
 from trotterion.compiler import compile_first_order
-from trotterion.gates import GateOp, GateSequence
+from trotterion.gates import GateOp, GateSequence, apply_sequence
 from trotterion.models import ising2
 from trotterion.noise import (
     NoiseParams,
@@ -12,7 +16,7 @@ from trotterion.noise import (
     perturb_sequence,
     run_noisy_ensemble,
 )
-from trotterion.pauli import PauliString, StateVector
+from trotterion.pauli import PauliString, StateVector, expectation
 
 THETA_A = np.pi / (2 * np.sqrt(2))
 
@@ -72,12 +76,75 @@ def test_analytic_mode_matches_clean_run():
     psi0 = StateVector.all_up(2)
     zz = PauliString(2, "ZZ")
     out = run_noisy_ensemble(prog, psi0, [zz], NoiseParams(sigma_rel=0.05, shots=None))
-    from trotterion.gates import apply_sequence
-    from trotterion.pauli import expectation
-
     clean = expectation(apply_sequence(psi0, prog.sequence), zz)
     assert out.estimates[0] == pytest.approx(clean)
     assert out.errors[0] == 0.0
+
+
+def reference_shots(seq, psi0, outcomes, checkpoints, params):
+    """One shot at a time, in the documented draw order.
+
+    Shot k's stream gives epsilon first, then one uniform per
+    (checkpoint, observable) in row-major order; outcomes are
+    (value function, is_probability) pairs.
+    """
+    for kind, err in params.miscal.items():
+        seq = apply_miscalibration(seq, kind, err)
+    hits = np.zeros((len(checkpoints), len(outcomes)))
+    for shot in range(params.shots):
+        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(shot,)))
+        eps = -1.0
+        while eps <= -1:
+            eps = params.sigma_rel * rng.standard_normal()
+        noisy = perturb_sequence(seq, eps)
+        for ci, cp in enumerate(checkpoints):
+            state = apply_sequence(psi0, GateSequence(seq.n, noisy.gates[:cp]))
+            for j, (fn, is_prob) in enumerate(outcomes):
+                prob = fn(state) if is_prob else (1 + fn(state)) / 2
+                hits[ci, j] += rng.random() < prob
+    p = hits / params.shots
+    err = np.sqrt(np.clip(p * (1 - p), 1e-12, None) / params.shots)
+    pauli = [not is_prob for _, is_prob in outcomes]
+    return np.where(pauli, 2 * p - 1, p), np.where(pauli, 2 * err, err)
+
+
+def test_engine_matches_per_shot_reference(tmp_path):
+    prog = compile_first_order(ising2(0.5, 1.0), THETA_A, 2)
+    psi0 = StateVector.all_up(2)
+    params = NoiseParams(sigma_rel=0.05, miscal={"O4": 0.02}, shots=60, seed=4)
+
+    def pop_up(state):
+        return float(abs(state.amps[0]) ** 2)
+
+    zz = PauliString(2, "ZZ")
+    est, err = reference_shots(
+        prog.sequence, psi0, [(lambda s: expectation(s, zz), False), (pop_up, True)],
+        (len(prog.sequence),), params,
+    )
+    ens = run_noisy_ensemble(prog, psi0, [zz, pop_up], params)
+    assert np.array_equal(ens.estimates, est[-1])
+    assert np.array_equal(ens.errors, err[-1])
+
+    # the CLI's noisy rows: every checkpoint, written at 9 significant digits
+    specs = ["pauli:ZZ", "pop:z:uu"]
+    scenario = {
+        "schema": 1, "name": "noisy_ref", "seed": params.seed,
+        "model": {"preset": "ising2", "B": 0.5, "J": 1.0},
+        "compile": {"method": "first_order", "theta": THETA_A, "steps": 2},
+        "initial_state": "uu", "observables": specs,
+        "noise": {"sigma_rel": params.sigma_rel, "miscal": params.miscal, "shots": params.shots},
+    }
+    path = tmp_path / "noisy_ref.json"
+    path.write_text(json.dumps(scenario))
+    with open(run_scenario(str(path), str(tmp_path))) as f:
+        rows = [r for r in csv.DictReader(f) if r["variant"] == "noisy"]
+    outcomes = [parse_observable(spec, 2)[1:] for spec in specs]
+    est, err = reference_shots(prog.sequence, psi0, outcomes, prog.checkpoints, params)
+    got = np.array([[float(r[s]) for s in specs] for r in rows])
+    got_err = np.array([[float(r[s + "_err"]) for s in specs] for r in rows])
+    assert len(rows) == len(prog.checkpoints) == 2
+    assert np.array_equal(got, [[float(f"{x:.9g}") for x in row] for row in est])
+    assert np.array_equal(got_err, [[float(f"{x:.9g}") for x in row] for row in err])
 
 
 def test_sampled_mode_is_deterministic_per_seed():
