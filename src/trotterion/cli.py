@@ -42,7 +42,7 @@ from .models import (
     xyz2,
 )
 from .noise import NoiseParams, sample_checkpoints
-from .oracle import propagator, time_ordered_propagator
+from .oracle import ramp_evolution, spectrum, time_ordered_propagator
 from .pauli import PauliString, StateVector, hamming_histogram
 
 SCHEMA_VERSION = 1
@@ -70,6 +70,11 @@ def bundled_scenarios() -> dict:
             if p.name.endswith(".json")}
 
 
+def _is_count(value, least: int) -> bool:
+    """A JSON integer (not a boolean) no smaller than least."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def load_scenario(ref: str) -> dict:
     if os.path.exists(ref):
         with open(ref) as f:
@@ -84,8 +89,15 @@ def load_scenario(ref: str) -> dict:
     for key in ("name", "model", "compile", "initial_state", "observables"):
         if key not in cfg:
             raise ConfigError(f"scenario is missing required key {key!r}")
-    if "noise" in cfg and "seed" not in cfg:
-        raise ConfigError("a seed is mandatory when noise is requested")
+    if "noise" in cfg:
+        if "seed" not in cfg:
+            raise ConfigError("a seed is mandatory when noise is requested")
+        if not isinstance(cfg["noise"], dict):
+            raise ConfigError("the noise block must be an object")
+        if "shots" in cfg["noise"] and not _is_count(cfg["noise"]["shots"], 1):
+            raise ConfigError(f"noise shots must be a positive integer, got {cfg['noise']['shots']!r}")
+    if "seed" in cfg and not _is_count(cfg["seed"], 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     name = cfg["name"]
     if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ConfigError(f"scenario name {name!r} is not a plain file stem")
@@ -205,26 +217,27 @@ def parse_observable(spec: str, n: int):
 # -- scenario execution ------------------------------------------------------
 
 
-def _exact_states(cfg, model, ramp, psi0, thetas):
+def _exact_states(spec, ramp, psi0, thetas):
     if ramp is not None:
-        from .oracle import ramp_evolution
-
         return ramp_evolution(ramp, psi0, thetas)
-    return [StateVector(psi0.n, propagator(model, th) @ psi0.amps) for th in thetas]
+    return [StateVector(psi0.n, spec.propagator(th) @ psi0.amps) for th in thetas]
 
 
 def _run_sweep(cfg, out_dir: str) -> str:
     """Sweep-mode execution: recompile a single-block program per point."""
     model, ramp, n = _build_model(cfg["model"])
+    if ramp is not None:
+        raise ConfigError("a sweep needs a time-independent model, not a ramp")
     sweep = cfg["compile"]["sweep"]
     thetas = np.linspace(sweep.get("theta_min", 0.0), sweep["theta_max"], sweep["points"])
     psi0 = parse_state(cfg["initial_state"], n)
     obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
+    spec = spectrum(model)
     rows = []
     for th in thetas:
         prog = _compile(dict(cfg["compile"], theta=float(th)), model, ramp)
         state = apply_sequence(psi0, prog.sequence)
-        exact = StateVector(n, propagator(model, th) @ psi0.amps)
+        exact = StateVector(n, spec.propagator(th) @ psi0.amps)
         rows.append(("exact", th, [fn(exact) for _, fn, _ in obs_fns], None))
         rows.append(("digital", th, [fn(state) for _, fn, _ in obs_fns], None))
     return _write_csv(cfg, out_dir, obs_fns, rows)
@@ -253,14 +266,15 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
     psi0 = parse_state(cfg["initial_state"], n)
     obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
     cp_thetas = prog.checkpoint_thetas()
+    spec = spectrum(model) if ramp is None else None
     rows = []
     fine = np.linspace(0.0, cp_thetas[-1], max(4 * len(cp_thetas), 32) + 1)
-    for th, state in zip(fine, _exact_states(cfg, model, ramp, psi0, fine)):
+    for th, state in zip(fine, _exact_states(spec, ramp, psi0, fine)):
         rows.append(("exact", th, [fn(state) for _, fn, _ in obs_fns], None))
     for th, state in zip(cp_thetas, prog.checkpoint_states(psi0)):
         rows.append(("digital", th, [fn(state) for _, fn, _ in obs_fns], None))
     if "verify" in cfg:
-        _verify(cfg, model, ramp, prog)
+        _verify(cfg, spec, ramp, prog)
     if "noise" in cfg:
         noise = cfg["noise"]
         params = NoiseParams(
@@ -276,13 +290,11 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
     return _write_csv(cfg, out_dir, obs_fns, rows)
 
 
-def _verify(cfg, model, ramp, prog) -> None:
+def _verify(cfg, spec, ramp, prog) -> None:
     want = cfg["verify"]["process_fidelity"]
     tol = cfg["verify"].get("tol", 0.01)
     theta = prog.checkpoint_thetas()[-1]
-    target = (
-        time_ordered_propagator(ramp, 2000, theta) if ramp is not None else propagator(model, theta)
-    )
+    target = time_ordered_propagator(ramp, 2000, theta) if ramp is not None else spec.propagator(theta)
     got = process_fidelity(target, sequence_unitary(prog.sequence))
     if abs(got - want) > tol:
         raise VerificationError(

@@ -2,11 +2,18 @@
 
 Everything here goes through a Hermitian eigendecomposition: the
 matrices are small (dimension <= 4096) and the spectra are needed for
-level-population analysis anyway.
+level-population analysis anyway. A time-independent Hamiltonian is
+built and diagonalised once (``spectrum``); every propagator at a phase
+theta then comes from ``Spectrum.propagator``, a matrix product that
+costs no further ``eigh``. That product is the one definition of
+exp(-i theta H): its form, ``(V * exp(-i theta w)) @ V^dag``, fixes the
+rounding of every exact curve in the scenario CSVs, so applying the
+phases to ``V^dag psi`` instead, though cheaper, would change their bytes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +33,29 @@ class Spectrum:
 
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns, matching order
-    levels: tuple  # tuple of (energy, index slice) per degenerate group
+
+    @cached_property
+    def levels(self) -> tuple:
+        """(energy, index slice) per degenerate group, ascending."""
+        w = self.eigenvalues
+        levels = []
+        start = 0
+        for i in range(1, len(w) + 1):
+            if i == len(w) or w[i] - w[i - 1] > DEGENERACY_TOL:
+                levels.append((float(np.mean(w[start:i])), slice(start, i)))
+                start = i
+        return tuple(levels)
 
     def level_energies(self) -> np.ndarray:
         return np.array([e for e, _ in self.levels])
+
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        return self.eigenvectors.conj().T
+
+    def propagator(self, theta: float) -> np.ndarray:
+        """exp(-i theta H) from the stored eigendecomposition."""
+        return (self.eigenvectors * np.exp(-1j * theta * self.eigenvalues)) @ self._adjoint
 
 
 def _matrix_of(h) -> np.ndarray:
@@ -44,25 +70,19 @@ def _check_hermitian(m: np.ndarray) -> None:
 
 
 def propagator(h, theta: float) -> np.ndarray:
-    """exp(-i theta H) via eigendecomposition."""
-    m = _matrix_of(h)
-    _check_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+    """exp(-i theta H) via eigendecomposition.
+
+    To evolve under one Hamiltonian at several phases, call ``spectrum``
+    once and ``Spectrum.propagator`` per phase.
+    """
+    return spectrum(h).propagator(theta)
 
 
 def spectrum(h) -> Spectrum:
     """Full eigendecomposition with degeneracy grouping."""
     m = _matrix_of(h)
     _check_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    levels = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > DEGENERACY_TOL:
-            levels.append((float(np.mean(w[start:i])), slice(start, i)))
-            start = i
-    return Spectrum(w, v, tuple(levels))
+    return Spectrum(*np.linalg.eigh(m))
 
 
 def level_populations(psi0: StateVector, spec: Spectrum) -> np.ndarray:

@@ -228,15 +228,27 @@ def _popcounts(n: int) -> np.ndarray:
 
 def hamming_histogram(state: StateVector) -> np.ndarray:
     """Probability of finding exactly i spins pointing down, i = 0..n."""
-    hist = np.zeros(state.n + 1)
-    np.add.at(hist, _popcounts(state.n), state.probabilities())
-    return hist
+    return np.bincount(_popcounts(state.n), weights=state.probabilities(), minlength=state.n + 1)
+
+
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 def hamiltonian_matrix(h: WeightedPauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of a weighted Pauli sum."""
+    """Dense Hermitian matrix of a weighted Pauli sum.
+
+    A Pauli string maps basis index ``col`` to ``col ^ x`` with phase
+    ``i**nY * (-1)**popcount(col & z)``, where x marks its X/Y spins, z its
+    Y/Z spins and nY counts its Y letters. Terms are added in order, so the
+    result equals ``sum(coeff * p.matrix())`` exactly.
+    """
     d = 2**h.n
     out = np.zeros((d, d), dtype=complex)
+    cols = np.arange(d)
+    parity = _popcounts(h.n) & 1
     for coeff, p in h.terms:
-        out += coeff * p.matrix()
+        x = sum(1 << j for j, c in enumerate(p.ops) if c in "XY")
+        z = sum(1 << j for j, c in enumerate(p.ops) if c in "YZ")
+        signs = 1 - 2 * parity[cols & z]
+        out[cols ^ x, cols] += coeff * _I_POWERS[p.ops.count("Y") % 4] * signs
     return out

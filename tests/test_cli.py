@@ -3,10 +3,13 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trotterion
 from trotterion.cli import (
     bound_from_fixtures,
     bundled_fixture,
@@ -206,6 +209,76 @@ def test_exit_code_bad_seed_env(tmp_path, monkeypatch, capsys, value):
     assert main(["run", "fig1a_n1", "--out", str(tmp_path)]) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", -1), ("seed", None), ("seed", 1.5), ("seed", "7"), ("seed", True),
+     ("shots", None), ("shots", 0), ("shots", -3), ("shots", 2.5), ("shots", "100")],
+)
+def test_exit_code_bad_seed_or_shots(tmp_path, capsys, key, value):
+    cfg = json.loads((bundled_scenarios()["figs8"]).read_text())
+    if key == "seed":
+        cfg["seed"] = value
+    else:
+        cfg["noise"]["shots"] = value
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_code_sweep_over_ramp(tmp_path):
+    cfg = json.loads((bundled_scenarios()["fig3c"]).read_text())
+    cfg["model"] = json.loads((bundled_scenarios()["fig1b"]).read_text())["model"]
+    cfg["initial_state"] = "uu"
+    cfg["observables"] = ["pop:z:uu"]
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert os.listdir(out) == []
+
+
+def test_run_diagonalises_the_hamiltonian_once(tmp_path, monkeypatch):
+    calls = {"eigh": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    build = counted("build", trotterion.oracle.hamiltonian_matrix)
+    monkeypatch.setattr(trotterion.oracle, "hamiltonian_matrix", build)
+    cfg = {
+        "schema": 1,
+        "name": "lr6",
+        "model": {"preset": "long_range", "n": 6, "B": 0.5, "J": 1.0},
+        "compile": {"method": "first_order", "theta": 1.2, "steps": 4},
+        "initial_state": "uuuuuu",
+        "observables": ["ham:0", "ham:3", "pauli:ZIIIII"],
+        "verify": {"process_fidelity": 1.0, "tol": 1.0},  # runs the check, never fails it
+    }
+    p = tmp_path / "lr6.json"
+    p.write_text(json.dumps(cfg))
+    rows = read_csv(run_scenario(str(p), str(tmp_path)))
+    assert len([r for r in rows if r["variant"] == "exact"]) == 33
+    assert calls == {"eigh": 1, "build": 1}
+
+
+def test_python_m_lists_bundled_scenarios():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trotterion.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "trotterion", "list"], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout
+    assert sorted(out.split()) == sorted(EXPECTED_SCENARIOS)
 
 
 def test_jobs_flag(tmp_path):

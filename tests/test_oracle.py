@@ -32,6 +32,16 @@ def test_propagator_unitary_and_composes():
     assert np.allclose(u2 @ u1, propagator(h, 1.0), atol=1e-10)
 
 
+def test_spectrum_propagator_is_the_oracle_product():
+    model, _ = long_range_ising(5, 0.5, 1.0)
+    spec = spectrum(model)
+    w, v = np.linalg.eigh(hamiltonian_matrix(model))
+    for theta in (0.0, 0.37, 2.2, 0.37):  # repeat: the cached adjoint is reused
+        got = spec.propagator(theta)
+        assert np.array_equal(got, propagator(model, theta))
+        assert np.array_equal(got, (v * np.exp(-1j * theta * w)) @ v.conj().T)
+
+
 def test_spectrum_groups_degenerate_levels():
     model, _ = long_range_ising(4, 0.5, 1.0)
     spec = spectrum(model)

@@ -109,6 +109,24 @@ def test_hamiltonian_matrix_hermitian_and_linear():
     assert np.allclose(m, want)
 
 
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(1, 6))
+    letters = st.text("IXYZ", min_size=n, max_size=n)
+    coeffs = st.floats(-3.0, 3.0, allow_nan=False)
+    terms = draw(st.lists(st.tuples(coeffs, letters), max_size=8))
+    return WeightedPauliSum.from_terms(n, [(c, PauliString(n, ops)) for c, ops in terms])
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_sums())
+def test_hamiltonian_matrix_equals_kron_sum_in_term_order(h):
+    want = np.zeros((2**h.n, 2**h.n), dtype=complex)
+    for coeff, p in h.terms:
+        want += coeff * p.matrix()
+    assert np.array_equal(hamiltonian_matrix(h), want)
+
+
 def test_weighted_sum_validation():
     with pytest.raises(DimensionError):
         WeightedPauliSum.from_terms(2, [(1.0, PauliString(3, "XXX"))])
