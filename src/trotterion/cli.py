@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -43,7 +44,7 @@ from .models import (
 )
 from .noise import NoiseParams, sample_checkpoints
 from .oracle import ramp_evolution, spectrum, time_ordered_propagator
-from .pauli import PauliString, StateVector, hamming_histogram
+from .pauli import MAX_SPINS, PauliString, StateVector, hamming_histogram
 
 SCHEMA_VERSION = 1
 
@@ -75,6 +76,17 @@ def _is_count(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _is_finite(value) -> bool:
+    """No NaN or infinity anywhere in a parsed JSON value (json accepts both)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(_is_finite(v) for v in value)
+    return True
+
+
 def load_scenario(ref: str) -> dict:
     if os.path.exists(ref):
         with open(ref) as f:
@@ -98,10 +110,27 @@ def load_scenario(ref: str) -> dict:
             raise ConfigError(f"noise shots must be a positive integer, got {cfg['noise']['shots']!r}")
     if "seed" in cfg and not _is_count(cfg["seed"], 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
+    if not _is_finite(cfg):
+        raise ConfigError("scenario contains a NaN or infinite number")
     name = cfg["name"]
     if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ConfigError(f"scenario name {name!r} is not a plain file stem")
     return cfg
+
+
+def _spin_count(cfg: dict) -> int:
+    n = cfg["n"]
+    if not _is_count(n, 2) or n > MAX_SPINS:
+        raise ConfigError(f"spin count n must be an integer in 2..{MAX_SPINS}, got {n!r}")
+    return n
+
+
+def _coupling_graph(cfg: dict) -> CouplingGraph:
+    n = _spin_count(cfg)
+    try:
+        return CouplingGraph(n, np.array(cfg["J"], dtype=float), cfg.get("phi", 0.0))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad coupling matrix J for {n} spins: {e}") from e
 
 
 def _build_model(cfg: dict):
@@ -114,13 +143,14 @@ def _build_model(cfg: dict):
     if preset == "xyz2":
         return xyz2(cfg["B"], cfg["J"]), None, 2
     if preset == "long_range":
-        model, _ = long_range_ising(cfg["n"], cfg["B"], cfg["J"])
-        return model, None, cfg["n"]
+        n = _spin_count(cfg)
+        model, _ = long_range_ising(n, cfg["B"], cfg["J"])
+        return model, None, n
     if preset == "graph":
-        graph = CouplingGraph(cfg["n"], np.array(cfg["J"]), cfg.get("phi", 0.0))
+        graph = _coupling_graph(cfg)
         fld = cfg.get("field")
         field = FieldSpec(fld["axis"], fld["strength"]) if fld else None
-        return coupling_graph_model(graph, field), None, cfg["n"]
+        return coupling_graph_model(graph, field), None, graph.n
     if preset == "many_body":
         p = PauliString.from_string(cfg["ops"])
         fld = cfg.get("field")
@@ -132,11 +162,16 @@ def _build_model(cfg: dict):
     raise ConfigError(f"unknown model preset {preset!r}")
 
 
+_STEPPED_METHODS = ("first_order", "second_order", "model_steps", "many_body_with_field")
+
+
 def _compile(cfg: dict, model, ramp, steps_override: int | None = None) -> CompiledProgram:
     if "sweep" in cfg:  # without an explicit theta a sweep compiles at theta_max
         cfg = {"theta": float(cfg["sweep"]["theta_max"]), **cfg}
     method = cfg.get("method")
     steps = steps_override if steps_override is not None else cfg.get("steps")
+    if (steps is not None or method in _STEPPED_METHODS) and not _is_count(steps, 0):
+        raise ConfigError(f"compile method {method!r} needs integer steps, got {steps!r}")
     if method == "first_order":
         return compile_first_order(model, cfg["theta"], steps)
     if method == "second_order":
@@ -152,8 +187,7 @@ def _compile(cfg: dict, model, ramp, steps_override: int | None = None) -> Compi
             raise ConfigError("time_dependent compilation needs a ramp model")
         return compile_time_dependent(ramp, steps if steps is not None else 8)
     if method == "coupling_graph":
-        graph = CouplingGraph(cfg["n"], np.array(cfg["J"]), cfg.get("phi", 0.0))
-        return compile_coupling_graph(graph, cfg["theta"])
+        return compile_coupling_graph(_coupling_graph(cfg), cfg["theta"])
     if method == "many_body":
         return compile_many_body(PauliString.from_string(cfg["ops"]), cfg["theta"])
     if method == "many_body_with_field":

@@ -8,7 +8,8 @@ test suite; the compiler itself never touches 2^n x 2^n matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .models import CouplingGraph, RampSpec, transverse_axis_for
 from .pauli import DimensionError, PauliString, StateVector, WeightedPauliSum
 
 DECOMP_TOL = 1e-10
+MAX_LAYERS = 3  # largest refocusing subset the exact search tries before nnls
+_SCREEN_CHUNK = 1024  # subsets screened per batched solve
 
 
 class CompileError(ValueError):
@@ -121,13 +124,15 @@ def _is_uniform_all_pairs(J: np.ndarray) -> float | None:
 # -- coupling-graph decomposition -------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _pattern_candidates(n: int):
     """Distinct realizable pair-weight patterns with their realizations.
 
     A sign vector s (s[0] fixed +1) yields two patterns over pairs i<j:
     a mask (1 + s_i s_j)/2, realized by a split entangling pulse with
     refocusing pulses on K = {k : s_k = -1}, and a signed pattern
-    s_i s_j, realized by a refocus-conjugated full pulse.
+    s_i s_j, realized by a refocus-conjugated full pulse. Returns the
+    candidates and their read-only candidate x pair matrix.
     """
     iu = np.triu_indices(n, 1)
     seen = {}
@@ -140,18 +145,57 @@ def _pattern_candidates(n: int):
         for kind, vec in (("mask", (1 + outer) / 2), ("signed", outer)):
             key = tuple(vec)
             if key not in seen and np.any(vec != 0):
+                vec.setflags(write=False)  # shared by every caller through the cache
                 seen[key] = (kind, tuple(int(k) for k in range(n) if s[k] < 0), vec)
-    return list(seen.values())
+    cands = tuple(seen.values())
+    pats = np.array([c[2] for c in cands])
+    pats.setflags(write=False)
+    return cands, pats
 
 
-def _decompose_graph(g: CouplingGraph, theta: float, max_layers: int = 4):
-    """Express theta * J as a nonnegative combination of realizable patterns."""
+def _screened_subsets(pats: np.ndarray, target: np.ndarray, L: int):
+    """L-subsets of the patterns that may fit target, in combinations order.
+
+    The normal equations of a chunk of subsets at a time screen out those
+    whose least-squares fit misses target or needs a negative weight. The
+    bounds are far looser than the exact fit's, and subsets with a
+    singular Gram block always pass (its entries are integers, so a
+    regular block has |det| >= 1), so every subset the exact fit accepts
+    is yielded.
+    """
+    tt = float(target @ target)
+    proj = pats @ target
+    subsets = combinations(range(len(pats)), L)
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(subsets, _SCREEN_CHUNK)), np.intp)
+        if not len(idx):
+            return
+        idx = idx.reshape(-1, L)
+        rows = pats[idx]  # subsets x L x pairs
+        gram = rows @ rows.transpose(0, 2, 1)
+        rhs = proj[idx]
+        regular = np.abs(np.linalg.det(gram)) >= 1e-6
+        w = np.linalg.solve(gram[regular], rhs[regular][..., None])[..., 0]
+        r2 = tt - np.einsum("kl,kl->k", rhs[regular], w)
+        keep = ~regular
+        keep[regular] = (r2 <= 1e-10 + 1e-9 * tt) & (w.min(axis=1) >= -1e-6)
+        for sub in idx[keep]:
+            yield tuple(int(i) for i in sub)
+
+
+def _decompose_graph(g: CouplingGraph, theta: float):
+    """Express theta * J as a nonnegative combination of realizable patterns.
+
+    The first subset of at most MAX_LAYERS patterns, in combinations
+    order, whose least-squares fit is exact and nonnegative; failing
+    that, a nonnegative least-squares fit over all patterns.
+    """
     iu = np.triu_indices(g.n, 1)
     target = theta * g.J[iu]
     if np.max(np.abs(target)) < 1e-15:
         return []
-    cands = _pattern_candidates(g.n)
-    mat = np.array([c[2] for c in cands]).T  # pairs x candidates
+    cands, pats = _pattern_candidates(g.n)
+    mat = pats.T  # pairs x candidates
 
     def try_subset(idx):
         sub = mat[:, idx]
@@ -162,10 +206,10 @@ def _decompose_graph(g: CouplingGraph, theta: float, max_layers: int = 4):
             return None
         return [(cands[i], float(max(wi, 0.0))) for i, wi in zip(idx, w) if wi > 1e-14]
 
-    for L in range(1, min(max_layers, 3) + 1):
+    for L in range(1, MAX_LAYERS + 1):
         if len(cands) ** L > 10**6:
             break
-        for idx in combinations(range(len(cands)), L):
+        for idx in _screened_subsets(pats, target, L):
             sol = try_subset(idx)
             if sol is not None:
                 return sol
@@ -192,9 +236,9 @@ def _layer_gates(layer, phi: float):
     return [*refocus, GateOp("O4", w, phi), *refocus]
 
 
-def _graph_gates(g: CouplingGraph, theta: float, max_layers: int = 4):
+def _graph_gates(g: CouplingGraph, theta: float):
     gates = []
-    for layer in _decompose_graph(g, theta, max_layers):
+    for layer in _decompose_graph(g, theta):
         gates.extend(_layer_gates(layer, g.phi))
     return gates
 
@@ -391,11 +435,11 @@ def compile_time_dependent(ramp: RampSpec, steps: int = 8) -> CompiledProgram:
     )
 
 
-def compile_coupling_graph(g: CouplingGraph, theta: float, max_layers: int = 4) -> CompiledProgram:
+def compile_coupling_graph(g: CouplingGraph, theta: float) -> CompiledProgram:
     """Refocusing realization of an arbitrary coupling graph (one block)."""
     if not 2 <= g.n <= 6:
         raise CompileError("coupling-graph compilation supports 2..6 spins")
-    gates = tuple(_graph_gates(g, theta, max_layers))
+    gates = tuple(_graph_gates(g, theta))
     if not gates:
         raise CompileError("coupling graph has no nonzero couplings")
     return CompiledProgram(GateSequence(g.n, gates), (len(gates),), "coupling-graph")

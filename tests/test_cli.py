@@ -230,6 +230,37 @@ def test_exit_code_bad_seed_or_shots(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def _drop_steps(cfg):
+    del cfg["compile"]["steps"]
+
+
+def _wrong_shape_J(cfg):
+    cfg["model"]["J"] = [[0, 1], [1, 0]]
+
+
+def _thirteen_spins(cfg):
+    cfg["model"] = {"preset": "long_range", "n": 13, "B": 0.5, "J": 1.0}
+    cfg["initial_state"] = "u" * 13
+
+
+def _nan_theta(cfg):
+    cfg["compile"]["theta"] = float("nan")
+
+
+@pytest.mark.parametrize("edit", [_drop_steps, _wrong_shape_J, _thirteen_spins, _nan_theta])
+def test_exit_code_malformed_model_or_compile(tmp_path, capsys, edit):
+    cfg = json.loads((bundled_scenarios()["fig3b"]).read_text())
+    edit(cfg)
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert os.listdir(out) == []
+
+
 def test_exit_code_sweep_over_ramp(tmp_path):
     cfg = json.loads((bundled_scenarios()["fig3c"]).read_text())
     cfg["model"] = json.loads((bundled_scenarios()["fig1b"]).read_text())["model"]

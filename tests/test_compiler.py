@@ -1,9 +1,15 @@
 """Compiler tests: every construction is checked against the exact oracle."""
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from trotterion.compiler import (
+    DECOMP_TOL,
     CompileError,
+    _layer_gates,
+    _pattern_candidates,
     compile_coupling_graph,
     compile_first_order,
     compile_many_body,
@@ -129,7 +135,7 @@ def test_nearest_neighbor_chain_refocused_exactly():
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_random_graphs_refocused_exactly(n, seed):
     rng = np.random.default_rng(seed)
     J = np.triu(rng.integers(0, 3, size=(n, n)).astype(float), 1)
@@ -140,6 +146,96 @@ def test_random_graphs_refocused_exactly(n, seed):
     theta = float(rng.uniform(0.1, 1.2))
     prog = compile_coupling_graph(g, theta)
     target = propagator(coupling_graph_model(g), theta)
+    assert aligned_distance(target, sequence_unitary(prog.sequence)) < 1e-9
+
+
+def exhaustive_graph_gates(g: CouplingGraph, theta: float):
+    """Reference search: one lstsq per subset of at most 3 patterns, then nnls."""
+    iu = np.triu_indices(g.n, 1)
+    target = theta * g.J[iu]
+    cands, pats = _pattern_candidates(g.n)
+    mat = pats.T
+
+    def layers():
+        for L in range(1, 4):
+            if len(cands) ** L > 10**6:
+                break
+            for idx in combinations(range(len(cands)), L):
+                sub = mat[:, idx]
+                w, *_ = np.linalg.lstsq(sub, target, rcond=None)
+                if np.min(w) >= -1e-12 and np.linalg.norm(sub @ w - target) <= DECOMP_TOL:
+                    return [(cands[i], float(max(wi, 0.0))) for i, wi in zip(idx, w) if wi > 1e-14]
+        w, resid = nnls(mat, target)
+        assert resid <= DECOMP_TOL
+        return [(cands[i], float(wi)) for i, wi in enumerate(w) if wi > 1e-14]
+
+    return [gate for layer in layers() for gate in _layer_gates(layer, g.phi)]
+
+
+def seeded_graph(n: int, seed: int, low: int, high: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    J = np.triu(rng.integers(low, high + 1, size=(n, n)).astype(float), 1)
+    return J + J.T
+
+
+def pattern_graph(n: int, terms) -> np.ndarray:
+    """Integer sum of weight * s_i s_j (signed) or (1 + s_i s_j)/2 (mask) patterns."""
+    J = np.zeros((n, n))
+    for weight, kind, flipped in terms:
+        s = np.array([-1.0 if k in flipped else 1.0 for k in range(n)])
+        outer = np.outer(s, s)
+        J += weight * ((1 + outer) / 2 if kind == "mask" else outer)
+    np.fill_diagonal(J, 0.0)
+    return J
+
+
+def chain_graph(n: int) -> np.ndarray:
+    return np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+
+
+# chains, pattern sums and n=3 graphs decompose in at most 3 layers; the
+# larger seeded graphs fall through to nnls
+REFERENCE_GRAPHS = {
+    "chain3": [chain_graph(3)],
+    "chain4": [chain_graph(4)],
+    "two_patterns5": [pattern_graph(5, [(1, "mask", (2, 3)), (2, "signed", (1, 4))])],
+    "two_patterns6": [pattern_graph(6, [(2, "mask", (1, 5)), (1, "signed", (2, 3, 4))])],
+    "n3_nonneg": [seeded_graph(3, s, 0, 3) for s in range(4)],
+    "n3_signed": [seeded_graph(3, s, -2, 2) for s in range(4)],
+    "n4_nonneg": [seeded_graph(4, s, 0, 3) for s in range(3)],
+    "n4_signed": [seeded_graph(4, s, -2, 2) for s in range(3)],
+    "n5_nonneg": [seeded_graph(5, 0, 0, 3)],
+    "n5_signed": [seeded_graph(5, 1, -2, 2)],
+    "n6_nonneg": [seeded_graph(6, 0, 0, 3)],
+}
+
+
+def gate_tuples(gates):
+    return [(op.kind, op.theta, op.phi, op.target) for op in gates]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_graph_decomposition_matches_exhaustive_search(name):
+    for J in REFERENCE_GRAPHS[name]:
+        g = CouplingGraph(len(J), J, 0.0)
+        theta = 0.41 + 0.05 * len(J)
+        got = gate_tuples(compile_coupling_graph(g, theta).sequence.gates)
+        assert got == gate_tuples(exhaustive_graph_gates(g, theta))
+
+
+def test_graph_decomposition_fit_count(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    g = CouplingGraph(6, seeded_graph(6, 3, 0, 3), 0.0)
+    prog = compile_coupling_graph(g, 0.7)
+    assert 0 < len(calls) <= 100  # of the 41,727 subsets of at most 3 patterns at n=6
+    target = propagator(coupling_graph_model(g), 0.7)
     assert aligned_distance(target, sequence_unitary(prog.sequence)) < 1e-9
 
 
