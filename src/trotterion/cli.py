@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -29,7 +30,7 @@ from .compiler import (
     compile_second_order,
     compile_time_dependent,
 )
-from .gates import DurationModel, apply_sequence, sequence_stats, sequence_unitary
+from .gates import GATE_KINDS, DurationModel, apply_sequence, sequence_stats, sequence_unitary
 from .metrics import GhzMeasurementRecord, ghz_fidelity, hofmann_bounds, process_fidelity, tangle2
 from .models import (
     CouplingGraph,
@@ -44,7 +45,7 @@ from .models import (
 )
 from .noise import NoiseParams, sample_checkpoints
 from .oracle import ramp_evolution, spectrum, time_ordered_propagator
-from .pauli import MAX_SPINS, PauliString, StateVector, hamming_histogram
+from .pauli import MAX_SPINS, PauliString, StateVector, _popcounts, columnwise, expectation
 
 SCHEMA_VERSION = 1
 
@@ -74,6 +75,11 @@ def bundled_scenarios() -> dict:
 def _is_count(value, least: int) -> bool:
     """A JSON integer (not a boolean) no smaller than least."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_real(value) -> bool:
+    """A JSON number (not a boolean)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:
@@ -106,16 +112,33 @@ def load_scenario(ref: str) -> dict:
             raise ConfigError("a seed is mandatory when noise is requested")
         if not isinstance(cfg["noise"], dict):
             raise ConfigError("the noise block must be an object")
-        if "shots" in cfg["noise"] and not _is_count(cfg["noise"]["shots"], 1):
-            raise ConfigError(f"noise shots must be a positive integer, got {cfg['noise']['shots']!r}")
+        _check_noise(cfg["noise"])
     if "seed" in cfg and not _is_count(cfg["seed"], 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     if not _is_finite(cfg):
         raise ConfigError("scenario contains a NaN or infinite number")
+    if not isinstance(cfg["observables"], list):
+        raise ConfigError(f"observables must be a list, got {cfg['observables']!r}")
     name = cfg["name"]
     if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ConfigError(f"scenario name {name!r} is not a plain file stem")
     return cfg
+
+
+def _check_noise(noise: dict) -> None:
+    if "shots" in noise and not _is_count(noise["shots"], 1):
+        raise ConfigError(f"noise shots must be a positive integer, got {noise['shots']!r}")
+    sigma = noise.get("sigma_rel", 0.0)
+    if not _is_real(sigma) or sigma < 0:
+        raise ConfigError(f"noise sigma_rel must be a nonnegative number, got {sigma!r}")
+    miscal = noise.get("miscal", {})
+    if not isinstance(miscal, dict):
+        raise ConfigError(f"noise miscal must be an object, got {miscal!r}")
+    for kind, err in miscal.items():
+        if kind not in GATE_KINDS:
+            raise ConfigError(f"noise miscal names unknown gate kind {kind!r}")
+        if not _is_real(err) or abs(err) >= 0.1:
+            raise ConfigError(f"noise miscal for {kind} must be a number in (-0.1, 0.1), got {err!r}")
 
 
 def _spin_count(cfg: dict) -> int:
@@ -227,34 +250,53 @@ def parse_state(spec: str, n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def parse_observable(spec: str, n: int):
-    """Return (label, callable(state) -> value, is_probability)."""
+def parse_observable(spec, n: int):
+    """Return (label, fn, is_probability); fn maps amplitudes (2^n, k) to values (k,).
+
+    A single state is the batch ``state.amps[:, None]``.
+    """
+    if not isinstance(spec, str):
+        raise ConfigError(f"observable {spec!r} is not a string")
     parts = spec.split(":")
     if parts[0] == "pauli" and len(parts) == 2:
-        p = PauliString(n, parts[1])
-        from .pauli import expectation
-
-        return spec, lambda s: expectation(s, p), False
+        try:
+            p = PauliString(n, parts[1])
+        except ValueError as e:
+            raise ConfigError(f"observable {spec!r} on {n} spins: {e}") from e
+        return spec, columnwise(partial(expectation, p=p)), False
     if parts[0] == "pop" and len(parts) == 3:
-        target = parse_state(f"{parts[1]}:{parts[2]}", n)
-        return spec, lambda s: float(abs(target.overlap(s)) ** 2), True
+        bra = parse_state(f"{parts[1]}:{parts[2]}", n).amps.conj()
+        return spec, lambda amps: np.abs(np.einsum("i,ik->k", bra, amps)) ** 2, True
     if parts[0] == "ham" and len(parts) == 2:
-        k = int(parts[1])
-        if not 0 <= k <= n:
-            raise ConfigError(f"hamming weight {k} out of range")
-        return spec, lambda s: float(hamming_histogram(s)[k]), True
+        if not parts[1].isdecimal() or int(parts[1]) > n:
+            raise ConfigError(f"observable {spec!r}: hamming weight must be an integer in 0..{n}")
+        mask = _popcounts(n) == int(parts[1])
+        return spec, lambda amps: (np.abs(amps[mask]) ** 2).sum(axis=0), True
     if spec == "tangle":
-        return spec, tangle2, True
+        if n != 2:
+            raise ConfigError(f"observable 'tangle' needs exactly 2 spins, not {n}")
+        return spec, columnwise(tangle2), True
     raise ConfigError(f"unknown observable {spec!r}")
+
+
+def _rows(variant: str, thetas, obs_fns, amps: np.ndarray) -> list:
+    """One CSV row per theta, scoring the states in the columns of amps."""
+    vals = np.array([fn(amps) for _, fn, _ in obs_fns]).reshape(len(obs_fns), len(thetas))
+    return [(variant, th, list(v), None) for th, v in zip(thetas, vals.T)]
+
+
+def _columns(states) -> np.ndarray:
+    return np.stack([s.amps for s in states], axis=1)
 
 
 # -- scenario execution ------------------------------------------------------
 
 
-def _exact_states(spec, ramp, psi0, thetas):
+def _exact_amps(spec, ramp, psi0, thetas) -> np.ndarray:
+    """Oracle states at every theta as the columns of one array."""
     if ramp is not None:
-        return ramp_evolution(ramp, psi0, thetas)
-    return [StateVector(psi0.n, spec.propagator(th) @ psi0.amps) for th in thetas]
+        return _columns(ramp_evolution(ramp, psi0, thetas))
+    return np.stack([spec.propagator(th) @ psi0.amps for th in thetas], axis=1)
 
 
 def _run_sweep(cfg, out_dir: str) -> str:
@@ -266,15 +308,13 @@ def _run_sweep(cfg, out_dir: str) -> str:
     thetas = np.linspace(sweep.get("theta_min", 0.0), sweep["theta_max"], sweep["points"])
     psi0 = parse_state(cfg["initial_state"], n)
     obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
-    spec = spectrum(model)
-    rows = []
-    for th in thetas:
-        prog = _compile(dict(cfg["compile"], theta=float(th)), model, ramp)
-        state = apply_sequence(psi0, prog.sequence)
-        exact = StateVector(n, spec.propagator(th) @ psi0.amps)
-        rows.append(("exact", th, [fn(exact) for _, fn, _ in obs_fns], None))
-        rows.append(("digital", th, [fn(state) for _, fn, _ in obs_fns], None))
-    return _write_csv(cfg, out_dir, obs_fns, rows)
+    digital = _columns(
+        apply_sequence(psi0, _compile(dict(cfg["compile"], theta=float(th)), model, ramp).sequence)
+        for th in thetas
+    )
+    exact = _exact_amps(spectrum(model), None, psi0, thetas)
+    pairs = zip(_rows("exact", thetas, obs_fns, exact), _rows("digital", thetas, obs_fns, digital))
+    return _write_csv(cfg, out_dir, obs_fns, [row for pair in pairs for row in pair])
 
 
 def _write_csv(cfg, out_dir, obs_fns, rows) -> str:
@@ -301,12 +341,9 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
     obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
     cp_thetas = prog.checkpoint_thetas()
     spec = spectrum(model) if ramp is None else None
-    rows = []
     fine = np.linspace(0.0, cp_thetas[-1], max(4 * len(cp_thetas), 32) + 1)
-    for th, state in zip(fine, _exact_states(spec, ramp, psi0, fine)):
-        rows.append(("exact", th, [fn(state) for _, fn, _ in obs_fns], None))
-    for th, state in zip(cp_thetas, prog.checkpoint_states(psi0)):
-        rows.append(("digital", th, [fn(state) for _, fn, _ in obs_fns], None))
+    rows = _rows("exact", fine, obs_fns, _exact_amps(spec, ramp, psi0, fine))
+    rows += _rows("digital", cp_thetas, obs_fns, _columns(prog.checkpoint_states(psi0)))
     if "verify" in cfg:
         _verify(cfg, spec, ramp, prog)
     if "noise" in cfg:

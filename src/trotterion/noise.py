@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .gates import GATE_KINDS, GateOp, GateSequence, _evolve, apply_sequence
-from .pauli import PauliString, StateVector, expectation
+from .pauli import PauliString, StateVector, columnwise, expectation
 
 _QUADRATIC_KINDS = ("O1", "O2", "O4")
 
@@ -96,10 +96,14 @@ def _miscalibrated(seq: GateSequence, params: NoiseParams) -> GateSequence:
 
 
 def _outcome(obs):
-    """(value function, is_probability) of a Pauli string or probability callable."""
+    """(batch value function, is_probability) of a Pauli string or probability callable.
+
+    The batch function maps amplitudes (2^n, k) to values (k,); ``obs``
+    itself takes one ``StateVector``.
+    """
     if isinstance(obs, PauliString):
-        return partial(expectation, p=obs), False
-    return obs, True
+        return columnwise(partial(expectation, p=obs)), False
+    return columnwise(obs), True
 
 
 def _draw_eps(rng, sigma: float) -> float:
@@ -130,8 +134,10 @@ def shot_states(seq: GateSequence, psi0: StateVector, eps, checkpoints) -> Itera
 def sample_checkpoints(seq: GateSequence, psi0: StateVector, outcomes, checkpoints, params):
     """Estimates and binomial errors, shape (checkpoints, observables).
 
-    ``outcomes`` are (value function, is_probability) pairs; a hit
-    fraction p estimates a probability as p and an expectation as 2p - 1.
+    ``outcomes`` are (value function, is_probability) pairs, each value
+    function mapping the shot batch's amplitudes (2^n, shots) to one
+    value per shot; a hit fraction p estimates a probability as p and an
+    expectation as 2p - 1.
     """
     seq = _miscalibrated(seq, params)
     eps, uniforms = [], []
@@ -142,7 +148,8 @@ def sample_checkpoints(seq: GateSequence, psi0: StateVector, outcomes, checkpoin
     is_prob = np.array([p for _, p in outcomes])
     hits = []
     for amps, u in zip(shot_states(seq, psi0, eps, checkpoints), np.swapaxes(uniforms, 0, 1)):
-        prob = np.array([[fn(StateVector(seq.n, col)) for fn, _ in outcomes] for col in amps.T])
+        # (shots, observables); reshape keeps an empty observable list a (shots, 0) table
+        prob = np.array([fn(amps) for fn, _ in outcomes]).reshape(len(outcomes), len(eps)).T
         hits.append((u < np.where(is_prob, prob, (1 + prob) / 2)).sum(axis=0))
     p = np.array(hits) / params.shots
     err_p = np.sqrt(np.clip(p * (1 - p), 1e-12, None) / params.shots)
@@ -169,7 +176,7 @@ def run_noisy_ensemble(
     outcomes = [_outcome(o) for o in observables]
     if params.shots is None:
         out = apply_sequence(psi0, _miscalibrated(seq, params))
-        vals = np.array([fn(out) for fn, _ in outcomes], dtype=float)
+        vals = np.array([fn(out.amps[:, None])[0] for fn, _ in outcomes], dtype=float)
         return ShotEnsemble(0, vals, np.zeros_like(vals))
     est, err = sample_checkpoints(seq, psi0, outcomes, (len(seq),), params)
     return ShotEnsemble(params.shots, est[-1], err[-1])
@@ -193,4 +200,4 @@ def ensemble_mean_expectation(
     seq = program.sequence if hasattr(program, "sequence") else program
     (amps,) = shot_states(seq, psi0, np.maximum(sigma_rel * z, -1 + 1e-12), (len(seq),))
     fn, _ = _outcome(observable)
-    return float(np.mean([fn(StateVector(seq.n, col)) for col in amps.T]))
+    return float(np.mean(fn(amps)))

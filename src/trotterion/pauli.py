@@ -231,6 +231,23 @@ def hamming_histogram(state: StateVector) -> np.ndarray:
     return np.bincount(_popcounts(state.n), weights=state.probabilities(), minlength=state.n + 1)
 
 
+def columnwise(fn):
+    """Batch form of a per-state function: amplitudes (2^n, k) -> values (k,).
+
+    Calls ``fn`` on a ``StateVector`` of each column in turn, for values
+    that have no array form over the whole batch. Each column is copied to
+    contiguous memory first: on a strided view the BLAS products inside
+    ``expectation`` and ``tangle2`` round differently in the last bits.
+    """
+
+    def batch(amps: np.ndarray) -> np.ndarray:
+        n = amps.shape[0].bit_length() - 1
+        cols = np.ascontiguousarray(amps.T)
+        return np.array([fn(StateVector(n, col)) for col in cols], dtype=float)
+
+    return batch
+
+
 _I_POWERS = (1, 1j, -1, -1j)
 
 

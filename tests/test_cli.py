@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trotterion
 from trotterion.cli import (
@@ -21,7 +23,9 @@ from trotterion.cli import (
     run_scenario,
 )
 from trotterion.compiler import compile_many_body
-from trotterion.pauli import PauliString, StateVector
+from trotterion.noise import sample_checkpoints
+from trotterion.metrics import tangle2
+from trotterion.pauli import PauliString, StateVector, expectation, hamming_histogram
 
 EXPECTED_SCENARIOS = {
     "fig1a_n1", "fig1a_n2", "fig1a_n3", "fig1a_n4", "fig1b",
@@ -84,11 +88,40 @@ def test_parse_observable():
     psi = StateVector.all_up(2)
     for spec, want in [("pauli:ZI", 1.0), ("pop:z:uu", 1.0), ("ham:0", 1.0), ("tangle", 0.0)]:
         _, fn, _ = parse_observable(spec, 2)
-        assert fn(psi) == pytest.approx(want, abs=1e-12)
+        assert fn(psi.amps[:, None])[0] == pytest.approx(want, abs=1e-12)
     with pytest.raises(Exception):
         parse_observable("ham:7", 2)
     with pytest.raises(Exception):
         parse_observable("nonsense", 2)
+
+
+def random_batch(n, k, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(2**n, k)) + 1j * rng.normal(size=(2**n, k))
+    return amps / np.linalg.norm(amps, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 1000), st.data())
+def test_observable_batch_equals_per_state_formula(n, k, seed, data):
+    amps = random_batch(n, k, seed)
+    states = [StateVector(n, col) for col in amps.T]
+    basis = data.draw(st.sampled_from("xyz"))
+    labels = data.draw(st.text("+-" if basis != "z" else "ud", min_size=n, max_size=n))
+    target = parse_state(f"{basis}:{labels}", n)
+    weight = data.draw(st.integers(0, n))
+    ops = data.draw(st.text("IXYZ", min_size=n, max_size=n))
+    cases = [
+        (f"pop:{basis}:{labels}", lambda s: abs(np.vdot(target.amps, s.amps)) ** 2),
+        (f"ham:{weight}", lambda s: hamming_histogram(s)[weight]),
+        (f"pauli:{ops}", lambda s: expectation(s, PauliString(n, ops))),
+    ]
+    if n == 2:
+        cases.append(("tangle", tangle2))
+    for spec, formula in cases:
+        got = parse_observable(spec, n)[1](amps)
+        assert got.shape == (k,)
+        assert np.allclose(got, [formula(s) for s in states], rtol=0, atol=1e-12), spec
 
 
 def test_run_writes_expected_columns(tmp_path):
@@ -228,6 +261,88 @@ def test_exit_code_bad_seed_or_shots(tmp_path, capsys, key, value):
     assert main(["run", str(p), "--out", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("miscal", {"O4": 0.2}), ("miscal", {"O9": 0.01}), ("miscal", {"O4": "0.01"}),
+     ("miscal", {"O4": True}), ("miscal", [0.01]),
+     ("sigma_rel", -0.1), ("sigma_rel", "0.1"), ("sigma_rel", True), ("sigma_rel", None)],
+)
+def test_exit_code_bad_noise_block(tmp_path, capsys, key, value):
+    cfg = json.loads((bundled_scenarios()["figs8"]).read_text())
+    cfg["noise"][key] = value
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "base, observables",
+    [("fig2_ising", ["pauli:ZZZ"]), ("fig2_ising", ["pauli:QQ"]), ("fig3a", ["ham:x"]),
+     ("fig3a", ["ham:-1"]), ("fig3a", ["tangle"]), ("fig2_ising", [3]),
+     ("fig2_ising", ["pauli:XI", None]), ("fig2_ising", "pauli:ZZ")],
+)
+def test_exit_code_bad_observable(tmp_path, capsys, base, observables):
+    cfg = json.loads((bundled_scenarios()[base]).read_text())
+    cfg["observables"] = observables
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert "observable" in err
+    assert os.listdir(out) == []
+
+
+def test_empty_observable_list_writes_theta_only_rows(tmp_path):
+    cfg = json.loads((bundled_scenarios()["figs8"]).read_text())
+    cfg["observables"] = []
+    cfg["noise"]["shots"] = 40
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "figs8.csv") as f:
+        lines = f.read().splitlines()
+    assert lines[0] == "variant,theta"
+    variants = [line.split(",")[0] for line in lines[1:]]
+    assert variants.count("noisy") == variants.count("digital") == 24
+    assert all(len(line.split(",")) == 2 for line in lines[1:])
+
+
+@pytest.mark.parametrize("name", ["figs8", "figs9"])
+def test_noisy_rows_score_pop_and_ham_without_state_objects(tmp_path, monkeypatch, name):
+    cfg = json.loads((bundled_scenarios()[name]).read_text())
+    cfg["noise"]["shots"] = 50
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    created = {"inside": 0, "outside": 0}
+    where = ["outside"]
+    post_init = StateVector.__post_init__
+
+    def counted_post_init(self):
+        created[where[0]] += 1
+        post_init(self)
+
+    def counted_sample(*args, **kwargs):
+        where[0] = "inside"
+        try:
+            return sample_checkpoints(*args, **kwargs)
+        finally:
+            where[0] = "outside"
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted_post_init)
+    monkeypatch.setattr(trotterion.cli, "sample_checkpoints", counted_sample)
+    rows = read_csv(run_scenario(str(p), str(tmp_path)))
+    assert len([r for r in rows if r["variant"] == "noisy"]) == (24 if name == "figs8" else 48)
+    assert created["inside"] == 0
+    assert created["outside"] > 0  # the counter sees the exact and digital states
 
 
 def _drop_steps(cfg):

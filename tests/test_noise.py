@@ -138,7 +138,10 @@ def test_engine_matches_per_shot_reference(tmp_path):
     path.write_text(json.dumps(scenario))
     with open(run_scenario(str(path), str(tmp_path))) as f:
         rows = [r for r in csv.DictReader(f) if r["variant"] == "noisy"]
-    outcomes = [parse_observable(spec, 2)[1:] for spec in specs]
+    outcomes = [
+        (lambda s, fn=fn: fn(s.amps[:, None])[0], is_prob)
+        for _, fn, is_prob in (parse_observable(spec, 2) for spec in specs)
+    ]
     est, err = reference_shots(prog.sequence, psi0, outcomes, prog.checkpoints, params)
     got = np.array([[float(r[s]) for s in specs] for r in rows])
     got_err = np.array([[float(r[s + "_err"]) for s in specs] for r in rows])
