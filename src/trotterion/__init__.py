@@ -14,7 +14,6 @@ from .compiler import (
     compile_coupling_graph,
     compile_first_order,
     compile_many_body,
-    compile_many_body_with_field,
     compile_model_steps,
     compile_second_order,
     compile_time_dependent,

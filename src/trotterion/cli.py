@@ -24,9 +24,6 @@ from .compiler import (
     CompiledProgram,
     compile_coupling_graph,
     compile_first_order,
-    compile_many_body,
-    compile_many_body_with_field,
-    compile_model_steps,
     compile_second_order,
     compile_time_dependent,
 )
@@ -82,15 +79,34 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    """No NaN or infinity anywhere in a parsed JSON value (json accepts both)."""
+def _is_plain(value) -> bool:
+    """No NaN, infinity or boolean anywhere in a parsed JSON value.
+
+    json accepts NaN and Infinity, and a boolean would pass as 0 or 1
+    wherever a number is read; no schema-1 key takes a boolean.
+    """
+    if isinstance(value, bool):
+        return False
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, list):
-        return all(_is_finite(v) for v in value)
+        return all(_is_plain(v) for v in value)
     return True
+
+
+def _real(block: dict, key: str, default=None):
+    """block[key], or default when the key is absent, checked to be a number."""
+    value = block[key] if default is None else block.get(key, default)
+    if not _is_real(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+_TOP_LEVEL_KEYS = (
+    "schema", "name", "model", "compile", "initial_state", "observables", "noise", "seed", "verify",
+)
 
 
 def load_scenario(ref: str) -> dict:
@@ -102,21 +118,29 @@ def load_scenario(ref: str) -> dict:
         if ref not in names:
             raise ConfigError(f"unknown scenario {ref!r}; try 'trotterion list'")
         cfg = json.loads(names[ref].read_text())
+    if not isinstance(cfg, dict):
+        raise ConfigError("a scenario must be a JSON object")
     if cfg.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")
+    unknown = sorted(set(cfg) - set(_TOP_LEVEL_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown scenario keys {unknown}; allowed are {list(_TOP_LEVEL_KEYS)}")
     for key in ("name", "model", "compile", "initial_state", "observables"):
         if key not in cfg:
             raise ConfigError(f"scenario is missing required key {key!r}")
+    for key in ("model", "compile", "noise", "verify"):
+        if key in cfg and not isinstance(cfg[key], dict):
+            raise ConfigError(f"the {key} block must be an object")
+    if not isinstance(cfg["compile"].get("sweep", {}), dict):
+        raise ConfigError("the compile sweep block must be an object")
     if "noise" in cfg:
         if "seed" not in cfg:
             raise ConfigError("a seed is mandatory when noise is requested")
-        if not isinstance(cfg["noise"], dict):
-            raise ConfigError("the noise block must be an object")
         _check_noise(cfg["noise"])
     if "seed" in cfg and not _is_count(cfg["seed"], 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
-    if not _is_finite(cfg):
-        raise ConfigError("scenario contains a NaN or infinite number")
+    if not _is_plain(cfg):
+        raise ConfigError("scenario contains a NaN, infinite or boolean number")
     if not isinstance(cfg["observables"], list):
         raise ConfigError(f"observables must be a list, got {cfg['observables']!r}")
     name = cfg["name"]
@@ -149,75 +173,106 @@ def _spin_count(cfg: dict) -> int:
 
 
 def _coupling_graph(cfg: dict) -> CouplingGraph:
-    n = _spin_count(cfg)
-    try:
-        return CouplingGraph(n, np.array(cfg["J"], dtype=float), cfg.get("phi", 0.0))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad coupling matrix J for {n} spins: {e}") from e
+    J = np.asarray(cfg["J"])
+    if J.dtype.kind not in "if":
+        raise ConfigError(f"coupling matrix J must hold numbers, got {cfg['J']!r}")
+    return CouplingGraph(_spin_count(cfg), J.astype(float), _real(cfg, "phi", 0.0))
+
+
+def _field(cfg: dict) -> FieldSpec | None:
+    fld = cfg.get("field")
+    return FieldSpec(fld["axis"], _real(fld, "strength")) if fld else None
+
+
+_TWO_SPIN_PRESETS = {"ising2": ising2, "xy2": xy2, "xyz2": xyz2}
 
 
 def _build_model(cfg: dict):
     """Resolve the model block to (pauli sum or None, ramp or None, n)."""
     preset = cfg.get("preset")
-    if preset == "ising2":
-        return ising2(cfg["B"], cfg["J"]), None, 2
-    if preset == "xy2":
-        return xy2(cfg["B"], cfg["J"]), None, 2
-    if preset == "xyz2":
-        return xyz2(cfg["B"], cfg["J"]), None, 2
-    if preset == "long_range":
-        n = _spin_count(cfg)
-        model, _ = long_range_ising(n, cfg["B"], cfg["J"])
-        return model, None, n
-    if preset == "graph":
-        graph = _coupling_graph(cfg)
-        fld = cfg.get("field")
-        field = FieldSpec(fld["axis"], fld["strength"]) if fld else None
-        return coupling_graph_model(graph, field), None, graph.n
-    if preset == "many_body":
-        p = PauliString.from_string(cfg["ops"])
-        fld = cfg.get("field")
-        field = FieldSpec(fld["axis"], fld["strength"]) if fld else None
-        return many_body_model(p, cfg.get("strength", 1.0), field), None, p.n
-    if preset == "ramp":
-        ramp = RampSpec(cfg["theta_t"], cfg["J_start"], cfg["J_end"], cfg["B"])
-        return None, ramp, 2
+    try:
+        if preset in _TWO_SPIN_PRESETS:
+            return _TWO_SPIN_PRESETS[preset](_real(cfg, "B"), _real(cfg, "J")), None, 2
+        if preset == "long_range":
+            n = _spin_count(cfg)
+            model, _ = long_range_ising(n, _real(cfg, "B"), _real(cfg, "J"))
+            return model, None, n
+        if preset == "graph":
+            graph = _coupling_graph(cfg)
+            return coupling_graph_model(graph, _field(cfg)), None, graph.n
+        if preset == "many_body":
+            p = PauliString.from_string(cfg["ops"])
+            return many_body_model(p, _real(cfg, "strength", 1.0), _field(cfg)), None, p.n
+        if preset == "ramp":
+            ramp = RampSpec(*(_real(cfg, k) for k in ("theta_t", "J_start", "J_end", "B")))
+            return None, ramp, 2
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:  # the model constructors' own input checks
+        raise ConfigError(f"bad {preset} model: {e}") from e
     raise ConfigError(f"unknown model preset {preset!r}")
 
 
 _STEPPED_METHODS = ("first_order", "second_order", "model_steps", "many_body_with_field")
+_STEP_KINDS = {"ising2": "ising", "xy2": "xy", "xyz2": "xyz"}
 
 
-def _compile(cfg: dict, model, ramp, steps_override: int | None = None) -> CompiledProgram:
-    if "sweep" in cfg:  # without an explicit theta a sweep compiles at theta_max
-        cfg = {"theta": float(cfg["sweep"]["theta_max"]), **cfg}
-    method = cfg.get("method")
-    steps = steps_override if steps_override is not None else cfg.get("steps")
+def _check_restated(comp: dict, model_cfg: dict) -> None:
+    """Schema-1 compile keys that restate the Hamiltonian must agree with the model block."""
+    preset, J = model_cfg.get("preset"), model_cfg.get("J")
+    restated = {
+        "model_steps": {
+            "kind": _STEP_KINDS.get(preset), "b": model_cfg.get("B"), "jx": J,
+            "jy": J if preset in ("xy2", "xyz2") else 0.0, "jz": J if preset == "xyz2" else 0.0,
+        },
+        "many_body": {"ops": model_cfg.get("ops")},
+        "many_body_with_field": {
+            "ops": model_cfg.get("ops"), "B": (model_cfg.get("field") or {}).get("strength", 0.0),
+        },
+        "coupling_graph": {"n": model_cfg.get("n"), "J": J, "phi": model_cfg.get("phi", 0.0)},
+    }.get(comp.get("method"), {})
+    for key, want in restated.items():
+        if key in comp and comp[key] != want:
+            raise ConfigError(
+                f"compile {key} {comp[key]!r} disagrees with the model block ({want!r})"
+            )
+
+
+def _compile(
+    cfg: dict, model, ramp, steps_override: int | None = None, theta: float | None = None
+) -> CompiledProgram:
+    """Compile the scenario's model as its compile block says.
+
+    theta, when given, replaces the compile block's; a sweep without an
+    explicit theta compiles at theta_max.
+    """
+    comp = cfg["compile"]
+    _check_restated(comp, cfg["model"])
+    method = comp.get("method")
+    steps = steps_override if steps_override is not None else comp.get("steps")
     if (steps is not None or method in _STEPPED_METHODS) and not _is_count(steps, 0):
         raise ConfigError(f"compile method {method!r} needs integer steps, got {steps!r}")
-    if method == "first_order":
-        return compile_first_order(model, cfg["theta"], steps)
-    if method == "second_order":
-        return compile_second_order(model, cfg["theta"], steps)
-    if method == "model_steps":
-        return compile_model_steps(
-            cfg["kind"], cfg.get("resolution", np.pi / 16), steps,
-            jx=cfg.get("jx", 1.0), jy=cfg.get("jy", 1.0), jz=cfg.get("jz", 1.0),
-            b=cfg.get("b", 1.0),
-        )
     if method == "time_dependent":
         if ramp is None:
             raise ConfigError("time_dependent compilation needs a ramp model")
         return compile_time_dependent(ramp, steps if steps is not None else 8)
-    if method == "coupling_graph":
-        return compile_coupling_graph(_coupling_graph(cfg), cfg["theta"])
+    if ramp is not None:
+        raise ConfigError(f"compile method {method!r} needs a time-independent model, not a ramp")
+    if method in ("model_steps", "many_body_with_field"):
+        resolution = _real(comp, "resolution", np.pi / 16 if method == "model_steps" else np.pi / 4)
+        return compile_first_order(model, resolution * steps, steps)
+    if theta is None:
+        theta = _real(comp, "theta", comp["sweep"]["theta_max"] if "sweep" in comp else None)
+    if method == "first_order":
+        return compile_first_order(model, theta, steps)
+    if method == "second_order":
+        return compile_second_order(model, theta, steps)
     if method == "many_body":
-        return compile_many_body(PauliString.from_string(cfg["ops"]), cfg["theta"])
-    if method == "many_body_with_field":
-        return compile_many_body_with_field(
-            PauliString.from_string(cfg["ops"]), cfg.get("B", 0.0),
-            cfg.get("resolution", np.pi / 4), steps,
-        )
+        return compile_first_order(model, theta, 1)
+    if method == "coupling_graph":
+        if cfg["model"].get("preset") != "graph" or cfg["model"].get("field"):
+            raise ConfigError("compile method 'coupling_graph' needs a graph model without a field")
+        return compile_coupling_graph(_coupling_graph(cfg["model"]), theta)
     raise ConfigError(f"unknown compile method {method!r}")
 
 
@@ -235,6 +290,8 @@ _BASIS_VECS = {
 
 def parse_state(spec: str, n: int) -> StateVector:
     """'uud' is a z product state; 'x:+-' and 'y:-+' rotate the basis."""
+    if not isinstance(spec, str):
+        raise ConfigError(f"initial state {spec!r} is not a string")
     if ":" in spec:
         basis, labels = spec.split(":", 1)
     else:
@@ -305,12 +362,13 @@ def _run_sweep(cfg, out_dir: str) -> str:
     if ramp is not None:
         raise ConfigError("a sweep needs a time-independent model, not a ramp")
     sweep = cfg["compile"]["sweep"]
-    thetas = np.linspace(sweep.get("theta_min", 0.0), sweep["theta_max"], sweep["points"])
+    if not _is_count(sweep["points"], 1):
+        raise ConfigError(f"sweep points must be a positive integer, got {sweep['points']!r}")
+    thetas = np.linspace(_real(sweep, "theta_min", 0.0), _real(sweep, "theta_max"), sweep["points"])
     psi0 = parse_state(cfg["initial_state"], n)
     obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
     digital = _columns(
-        apply_sequence(psi0, _compile(dict(cfg["compile"], theta=float(th)), model, ramp).sequence)
-        for th in thetas
+        apply_sequence(psi0, _compile(cfg, model, ramp, theta=float(th)).sequence) for th in thetas
     )
     exact = _exact_amps(spectrum(model), None, psi0, thetas)
     pairs = zip(_rows("exact", thetas, obs_fns, exact), _rows("digital", thetas, obs_fns, digital))
@@ -319,6 +377,7 @@ def _run_sweep(cfg, out_dir: str) -> str:
 
 def _write_csv(cfg, out_dir, obs_fns, rows) -> str:
     labels = [o[0] for o in obs_fns]
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, cfg["name"] + ".csv")
     with open(path, "w", newline="") as f:
         header = ["variant", "theta"] + labels + [f"{l}_err" for l in labels]
@@ -332,11 +391,10 @@ def _write_csv(cfg, out_dir, obs_fns, rows) -> str:
 def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None) -> str:
     """Execute one scenario and return the written CSV path."""
     cfg = load_scenario(ref)
-    os.makedirs(out_dir, exist_ok=True)
     if "sweep" in cfg["compile"]:
         return _run_sweep(cfg, out_dir)
     model, ramp, n = _build_model(cfg["model"])
-    prog = _compile(cfg["compile"], model, ramp)
+    prog = _compile(cfg, model, ramp)
     psi0 = parse_state(cfg["initial_state"], n)
     obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
     cp_thetas = prog.checkpoint_thetas()
@@ -362,8 +420,8 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
 
 
 def _verify(cfg, spec, ramp, prog) -> None:
-    want = cfg["verify"]["process_fidelity"]
-    tol = cfg["verify"].get("tol", 0.01)
+    want = _real(cfg["verify"], "process_fidelity")
+    tol = _real(cfg["verify"], "tol", 0.01)
     theta = prog.checkpoint_thetas()[-1]
     target = time_ordered_propagator(ramp, 2000, theta) if ramp is not None else spec.propagator(theta)
     got = process_fidelity(target, sequence_unitary(prog.sequence))
@@ -465,7 +523,7 @@ def _cmd_run(args) -> int:
 def _cmd_compile(args) -> int:
     cfg = load_scenario(args.scenario)
     model, ramp, _ = _build_model(cfg["model"])
-    prog = _compile(cfg["compile"], model, ramp, steps_override=args.steps)
+    prog = _compile(cfg, model, ramp, steps_override=args.steps)
     print(prog.sequence.to_text())
     return 0
 
@@ -473,7 +531,7 @@ def _cmd_compile(args) -> int:
 def _cmd_inspect(args) -> int:
     cfg = load_scenario(args.scenario)
     model, ramp, _ = _build_model(cfg["model"])
-    prog = _compile(cfg["compile"], model, ramp, steps_override=args.steps)
+    prog = _compile(cfg, model, ramp, steps_override=args.steps)
     stats = sequence_stats(prog.sequence, DurationModel())
     print(f"scenario: {cfg['name']}")
     print(f"gates: {stats['gate_count']}")

@@ -14,8 +14,8 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .gates import GateOp, GateSequence, apply_gate
-from .models import CouplingGraph, RampSpec, transverse_axis_for
-from .pauli import DimensionError, PauliString, StateVector, WeightedPauliSum
+from .models import CouplingGraph, RampSpec, ising2, many_body_model, xy2, xyz2
+from .pauli import PauliString, StateVector, WeightedPauliSum
 
 DECOMP_TOL = 1e-10
 MAX_LAYERS = 3  # largest refocusing subset the exact search tries before nnls
@@ -33,17 +33,12 @@ class TrotterPlan:
     order: int
     steps: int
     theta: float
-    template: tuple = ()
 
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError(f"unsupported splitting order {self.order}")
         if self.steps < 1:
             raise CompileError("step count must be >= 1")
-
-    @property
-    def resolution(self) -> float:
-        return self.theta / self.steps
 
 
 @dataclass(frozen=True)
@@ -56,8 +51,7 @@ class CompiledProgram:
 
     sequence: GateSequence
     checkpoints: tuple
-    target_id: str = ""
-    plan: TrotterPlan | None = None
+    plan: TrotterPlan
 
     def __post_init__(self):
         cps = tuple(int(c) for c in self.checkpoints)
@@ -73,8 +67,6 @@ class CompiledProgram:
 
     def checkpoint_thetas(self) -> np.ndarray:
         """Accumulated phase at each checkpoint (uniform steps)."""
-        if self.plan is None:
-            raise ValueError("program carries no digitization plan")
         k = np.arange(1, len(self.checkpoints) + 1)
         return self.plan.theta * k / self.plan.steps
 
@@ -245,8 +237,6 @@ def _graph_gates(g: CouplingGraph, theta: float):
 
 # -- many-body string construction ------------------------------------------
 
-_AXIS_PHI = {"x": 0.0, "y": np.pi / 2}
-
 
 def _validate_many_body(p: PauliString):
     if not 3 <= p.n <= 6:
@@ -288,18 +278,8 @@ def _many_body_gates(p: PauliString, theta: float):
 # -- per-step block assembly -------------------------------------------------
 
 
-def _coupling_gates(model: WeightedPauliSum, couplings, many, dtheta: float):
+def _coupling_gates(n: int, couplings, many, dtheta: float):
     gates = []
-    n = model.n
-    for letter, phi in (("X", 0.0), ("Y", np.pi / 2)):
-        J = couplings[letter]
-        if not np.any(J):
-            continue
-        uniform = _is_uniform_all_pairs(J)
-        if uniform is not None and uniform * dtheta >= 0:
-            gates.append(GateOp("O4", uniform * dtheta, phi))
-        else:
-            gates.extend(_graph_gates(CouplingGraph(n, J, phi), dtheta))
     Jz = couplings["Z"]
     if np.any(Jz):
         uniform = _is_uniform_all_pairs(Jz)
@@ -311,14 +291,22 @@ def _coupling_gates(model: WeightedPauliSum, couplings, many, dtheta: float):
         gates.extend(
             [wrap, GateOp("O4", uniform * dtheta, np.pi / 2), wrap, GateOp("O3", np.pi / 2, 0.0)]
         )
+    for letter, phi in (("X", 0.0), ("Y", np.pi / 2)):
+        J = couplings[letter]
+        if not np.any(J):
+            continue
+        uniform = _is_uniform_all_pairs(J)
+        if uniform is not None and uniform * dtheta >= 0:
+            gates.append(GateOp("O4", uniform * dtheta, phi))
+        else:
+            gates.extend(_graph_gates(CouplingGraph(n, J, phi), dtheta))
     for coeff, p in many:
         gates.extend(_many_body_gates(p, coeff * dtheta))
     return gates
 
 
-def _field_gates(model: WeightedPauliSum, fields, dtheta: float):
+def _field_gates(fields, dtheta: float):
     gates = []
-    n = model.n
     z = fields["Z"]
     if np.any(z):
         if np.all(np.abs(z - z[0]) < 1e-12):
@@ -337,79 +325,57 @@ def _field_gates(model: WeightedPauliSum, fields, dtheta: float):
     return gates
 
 
-def _model_id(model: WeightedPauliSum) -> str:
-    parts = [f"{c:+g}*{p.ops}" for c, p in model.terms]
-    return "exp(-i*theta*(" + " ".join(parts) + "))"
-
-
-def compile_first_order(
-    model: WeightedPauliSum, theta: float, steps: int, fields_first: bool = False
+def _product_formula(
+    model: WeightedPauliSum, theta: float, steps: int, order: int
 ) -> CompiledProgram:
-    """First-order splitting: `steps` identical coupling+field blocks."""
+    """`steps` identical split blocks of exp(-i theta model), a checkpoint after each.
+
+    Order 1 is coupling block then field block; order 2 puts half field
+    blocks on either side, and falls back to order 1 when either block is
+    empty.
+    """
     if steps < 1:
         raise CompileError("step count must be >= 1")
     dtheta = theta / steps
     fields, couplings, many = _classify_terms(model)
-    cgates = _coupling_gates(model, couplings, many, dtheta)
-    fgates = _field_gates(model, fields, dtheta)
-    block = fgates + cgates if fields_first else cgates + fgates
+    cgates = _coupling_gates(model.n, couplings, many, dtheta)
+    half = _field_gates(fields, dtheta / 2) if order == 2 and cgates else []
+    if half:
+        block = half + cgates + half
+    else:
+        order, block = 1, cgates + _field_gates(fields, dtheta)
     if not block:
         raise CompileError("model has no nontrivial compilable terms")
     gates = tuple(block) * steps
     checkpoints = tuple(len(block) * (k + 1) for k in range(steps))
-    plan = TrotterPlan(1, steps, theta, tuple(block))
-    return CompiledProgram(GateSequence(model.n, gates), checkpoints, _model_id(model), plan)
+    plan = TrotterPlan(order, steps, theta)
+    return CompiledProgram(GateSequence(model.n, gates), checkpoints, plan)
+
+
+def compile_first_order(model: WeightedPauliSum, theta: float, steps: int) -> CompiledProgram:
+    """First-order splitting: `steps` identical coupling+field blocks."""
+    return _product_formula(model, theta, steps, 1)
 
 
 def compile_second_order(model: WeightedPauliSum, theta: float, steps: int) -> CompiledProgram:
     """Symmetric splitting: half field block, coupling block, half field block."""
-    if steps < 1:
-        raise CompileError("step count must be >= 1")
-    dtheta = theta / steps
-    fields, couplings, many = _classify_terms(model)
-    cgates = _coupling_gates(model, couplings, many, dtheta)
-    fgates_half = _field_gates(model, fields, dtheta / 2)
-    if not cgates or not fgates_half:
-        return compile_first_order(model, theta, steps)
-    block = fgates_half + cgates + fgates_half
-    gates = tuple(block) * steps
-    checkpoints = tuple(len(block) * (k + 1) for k in range(steps))
-    plan = TrotterPlan(2, steps, theta, tuple(block))
-    return CompiledProgram(GateSequence(model.n, gates), checkpoints, _model_id(model), plan)
+    return _product_formula(model, theta, steps, 2)
 
 
-def compile_model_steps(
-    kind: str,
-    resolution: float,
-    steps: int,
-    jx: float = 1.0,
-    jy: float = 1.0,
-    jz: float = 1.0,
-    b: float = 1.0,
-) -> CompiledProgram:
-    """Fixed two-spin step templates for the bundled interaction types.
+_STEP_MODELS = {"ising": ising2, "xy": xy2, "xyz": xyz2}
+
+
+def compile_model_steps(kind: str, resolution: float, steps: int) -> CompiledProgram:
+    """First-order steps of the unit two-spin Ising, XY or XYZ model.
 
     Per step: ising = entangle + field (2 gates); xy adds a y-axis
     entangling pulse (3 gates); xyz additionally realizes the ZZ term by
     a basis-conjugated entangling pulse plus its residual-rotation
     cancellation (7 gates).
     """
-    if kind not in ("ising", "xy", "xyz"):
+    if kind not in _STEP_MODELS:
         raise CompileError(f"unknown step template {kind!r}")
-    if steps < 1:
-        raise CompileError("step count must be >= 1")
-    block = []
-    if kind == "xyz":
-        wrap = GateOp("O3", np.pi / 4, 0.0)
-        block += [wrap, GateOp("O4", jz * resolution, np.pi / 2), wrap, GateOp("O3", np.pi / 2, 0.0)]
-    block.append(GateOp("O4", jx * resolution, 0.0))
-    if kind in ("xy", "xyz"):
-        block.append(GateOp("O4", jy * resolution, np.pi / 2))
-    block.append(GateOp("O2", b * resolution))
-    gates = tuple(block) * steps
-    checkpoints = tuple(len(block) * (k + 1) for k in range(steps))
-    plan = TrotterPlan(1, steps, resolution * steps, tuple(block))
-    return CompiledProgram(GateSequence(2, gates), checkpoints, f"model-steps:{kind}", plan)
+    return compile_first_order(_STEP_MODELS[kind](1.0, 1.0), resolution * steps, steps)
 
 
 def compile_time_dependent(ramp: RampSpec, steps: int = 8) -> CompiledProgram:
@@ -430,9 +396,7 @@ def compile_time_dependent(ramp: RampSpec, steps: int = 8) -> CompiledProgram:
         gates.append(GateOp("O2", ramp.B * dtheta))
         checkpoints.append(len(gates))
     plan = TrotterPlan(1, steps, ramp.theta_t)
-    return CompiledProgram(
-        GateSequence(2, tuple(gates)), tuple(checkpoints), "time-dependent-ramp", plan
-    )
+    return CompiledProgram(GateSequence(2, tuple(gates)), tuple(checkpoints), plan)
 
 
 def compile_coupling_graph(g: CouplingGraph, theta: float) -> CompiledProgram:
@@ -442,31 +406,10 @@ def compile_coupling_graph(g: CouplingGraph, theta: float) -> CompiledProgram:
     gates = tuple(_graph_gates(g, theta))
     if not gates:
         raise CompileError("coupling graph has no nonzero couplings")
-    return CompiledProgram(GateSequence(g.n, gates), (len(gates),), "coupling-graph")
+    return CompiledProgram(GateSequence(g.n, gates), (len(gates),), TrotterPlan(1, 1, theta))
 
 
 def compile_many_body(p: PauliString, theta: float) -> CompiledProgram:
     """Single-block realization of exp(-i theta p) for the X...X-string family."""
-    gates = tuple(_many_body_gates(p, theta))
-    return CompiledProgram(GateSequence(p.n, gates), (len(gates),), f"many-body:{p.ops}")
-
-
-def compile_many_body_with_field(
-    p: PauliString, B: float, resolution: float, steps: int
-) -> CompiledProgram:
-    """Stroboscopic many-body string plus a uniform transverse field."""
-    if steps < 0:
-        raise CompileError("step count must be >= 0")
-    axis = transverse_axis_for(p)
-    block = _many_body_gates(p, resolution)
-    if B != 0.0:
-        if axis == "z":
-            block.append(GateOp("O2", B * resolution))
-        else:
-            block.append(GateOp("O3", B * resolution, _AXIS_PHI[axis]))
-    gates = tuple(block) * steps
-    checkpoints = tuple(len(block) * (k + 1) for k in range(steps))
-    plan = TrotterPlan(1, max(steps, 1), resolution * steps, tuple(block))
-    return CompiledProgram(
-        GateSequence(p.n, gates), checkpoints, f"many-body-field:{p.ops}", plan
-    )
+    _validate_many_body(p)
+    return compile_first_order(many_body_model(p, 1.0), theta, 1)

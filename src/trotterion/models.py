@@ -13,9 +13,6 @@ import numpy as np
 
 from .pauli import PauliString, WeightedPauliSum
 
-_AXIS_PHI = {"x": 0.0, "y": np.pi / 2}
-
-
 @dataclass(frozen=True)
 class CouplingGraph:
     """Symmetric pairwise coupling strengths along a common axis phi."""
@@ -147,17 +144,3 @@ def many_body_model(
         terms.extend(_field_terms(p.n, field.axis, field.strength))
     return WeightedPauliSum.from_terms(p.n, terms)
 
-
-def transverse_axis_for(p: PauliString) -> str:
-    """Field axis orthogonal to every site operator of a many-body string.
-
-    For the supported family (one Y-or-Z site, X elsewhere) the axis must
-    differ from X and from the special-site operator.
-    """
-    letters = {c for c in p.ops if c != "I"}
-    special = letters - {"X"}
-    if special == {"Z"}:
-        return "y"
-    if special == {"Y"}:
-        return "z"
-    raise ValueError(f"no canonical transverse axis for {p.ops}")

@@ -56,6 +56,28 @@ BUNDLED_SHA256 = {
     "figs9": "596b810d5c2c47f0afbe89f91dc5129986664b128492ef574cc2cb04328b5313",
 }
 
+# SHA-256 of `trotterion compile <name>` for every bundled scenario, as printed at commit 34b69de
+BUNDLED_COMPILE_SHA256 = {
+    "fig1a_n1": "73b7b995a45d374861b0e2a347aa2247eccba7861d817573c8d217583959845c",
+    "fig1a_n2": "1518126560db4d84f93f610417800488ee84b5a989473810c28aa3f8ef47810b",
+    "fig1a_n3": "516aa45e5f757b23828dd21a6e224ec194bed988602aec0c0e2d5d7e2615daba",
+    "fig1a_n4": "e20ce24d4a78c95fc39835eaa22d6ecd8c9559624137dfb55cdbb531afe07a43",
+    "fig1b": "bbb46795f1997f22f6ed8e560559f4476ffbe8fd198baa441e3c6882e9d3fba0",
+    "fig2_ising": "16476b2401fb76b8fd4c0e29b08257c4e3d42f01e7bad907e5302e409f16eef9",
+    "fig2_xy": "1a2e47de175f2a24fac2c162f11a6f631797c392f5aaf17a7b08c282271f1aa3",
+    "fig2_xyz": "8cd9624787782e5725f2a4cde353705ffb6b5a8c3891956ab25fbc1aa4089d7c",
+    "fig3a": "cf06d3edbd8af2cbc52b66f0898f30107dc44a68db17efc5c79723d6e43681fc",
+    "fig3b": "ea6bb942c24c944f05b29cd57446a4e9a9d4c0c2388daf5d850593087fa2ddea",
+    "fig3c": "24d576e1d8ce4eaed9c2b1a328a066035511355c6698b7630ac507ea8705d32a",
+    "fig4a": "cf06d3edbd8af2cbc52b66f0898f30107dc44a68db17efc5c79723d6e43681fc",
+    "fig4b": "fcb5827a23bce52f061f5b4008d350929078ba3efe27bc01b740faa5fdbb89c8",
+    "figs3": "53cd14ca2b682c16e02496a6ecfc57249d5bf5c58740b35d31ce7c45e4ccb6ba",
+    "figs6": "069972325171e563643b953fbe277472a8a64cba77ce46a7a831df0e73eece84",
+    "figs7": "d813eaca372d64a6c6e8eb704f4fc19859d772fe539ff7135e3e151885f35c58",
+    "figs8": "fdec687fbba3e931f7798d5aa634cf1f0e73f1e5972761a13c2ea45cf83f4b75",
+    "figs9": "c0ce07061853120a4a871ff98029b8da3ee3267e617cbe95d3c760e3e4f01491",
+}
+
 
 def read_csv(path):
     with open(path) as f:
@@ -144,6 +166,13 @@ def test_bundled_outputs_byte_identical(tmp_path):
             assert hashlib.sha256(f.read()).hexdigest() == want, name
 
 
+def test_bundled_programs_identical(capsys):
+    assert set(BUNDLED_COMPILE_SHA256) == EXPECTED_SCENARIOS
+    for name, want in BUNDLED_COMPILE_SHA256.items():
+        assert main(["compile", name]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, name
+
+
 def test_run_is_deterministic(tmp_path):
     cfg = json.loads((bundled_scenarios()["figs8"]).read_text())
     cfg["noise"]["shots"] = 40  # keep the repeat cheap
@@ -175,6 +204,8 @@ def test_exit_code_unknown_scenario():
 def test_exit_code_schema_violation(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"schema": 1, "name": "bad"}))
+    assert main(["run", str(p)]) == 2
+    p.write_text(json.dumps([{"schema": 1, "name": "bad"}]))  # not an object
     assert main(["run", str(p)]) == 2
 
 
@@ -376,6 +407,90 @@ def test_exit_code_malformed_model_or_compile(tmp_path, capsys, edit):
     assert os.listdir(out) == []
 
 
+def test_rejected_scenario_creates_no_out_dir(tmp_path, capsys):
+    cfg = json.loads((bundled_scenarios()["fig2_ising"]).read_text())
+    cfg["observables"] = ["pauli:QQ"]
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def _set(block, key, value):
+    def edit(cfg):
+        cfg[block][key] = value
+
+    return edit
+
+
+def _rename_noise(cfg):
+    cfg["nosie"] = cfg.pop("noise")
+
+
+def _graph_method_on_four_spins(cfg):
+    cfg["compile"] = {"method": "coupling_graph", "theta": 0.5, "n": 4}
+
+
+MALFORMED = {
+    "string_theta": ("fig1a_n1", _set("compile", "theta", "1.1")),
+    "thirteen_spin_ops": ("fig3c", _set("model", "ops", "Z" + "X" * 12)),
+    "string_process_fidelity": ("fig1a_n4", _set("verify", "process_fidelity", "0.98")),
+    "nosie_typo": ("figs8", _rename_noise),
+    "boolean_B": ("fig2_ising", _set("model", "B", True)),
+    "kind_disagrees": ("fig2_xyz", _set("compile", "kind", "ising")),
+    "b_disagrees": ("fig2_ising", _set("compile", "b", 3.0)),
+    "ops_disagrees": ("figs7", _set("compile", "ops", "YXX")),
+    "graph_n_disagrees": ("figs6", _graph_method_on_four_spins),
+    "sweep_not_object": ("fig3c", _set("compile", "sweep", [25])),
+    "initial_state_not_string": ("fig1a_n1", lambda cfg: cfg.update(initial_state=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_exit_code_malformed_scenario(tmp_path, capsys, case):
+    base, edit = MALFORMED[case]
+    cfg = json.loads((bundled_scenarios()[base]).read_text())
+    edit(cfg)
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_exit_code_zero_steps_with_field(tmp_path, capsys):
+    cfg = json.loads((bundled_scenarios()["figs7"]).read_text())
+    cfg["compile"]["steps"] = 0
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("compilation error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "base, compile_block",
+    [("figs6", {"method": "coupling_graph", "theta": 0.5}),
+     ("fig3c", {"method": "many_body", "ops": "ZXX", "theta": 0.5})],
+)
+def test_single_block_methods_compile_the_model(tmp_path, base, compile_block):
+    cfg = json.loads((bundled_scenarios()[base]).read_text())
+    cfg["compile"] = compile_block
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    rows = read_csv(run_scenario(str(p), str(tmp_path)))
+    (digital,) = [r for r in rows if r["variant"] == "digital"]
+    exact = [r for r in rows if r["variant"] == "exact"][-1]
+    assert float(digital["theta"]) == float(exact["theta"]) == 0.5
+    for label in cfg["observables"]:
+        assert float(digital[label]) == pytest.approx(float(exact[label]), abs=1e-8)
+
+
 def test_exit_code_sweep_over_ramp(tmp_path):
     cfg = json.loads((bundled_scenarios()["fig3c"]).read_text())
     cfg["model"] = json.loads((bundled_scenarios()["fig1b"]).read_text())["model"]
@@ -385,7 +500,7 @@ def test_exit_code_sweep_over_ramp(tmp_path):
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["run", str(p), "--out", str(out)]) == 2
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_run_diagonalises_the_hamiltonian_once(tmp_path, monkeypatch):

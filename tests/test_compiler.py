@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from trotterion.compiler import (
@@ -13,7 +15,6 @@ from trotterion.compiler import (
     compile_coupling_graph,
     compile_first_order,
     compile_many_body,
-    compile_many_body_with_field,
     compile_model_steps,
     compile_second_order,
     compile_time_dependent,
@@ -105,6 +106,36 @@ def test_model_steps_track_oracle():
         prog = compile_model_steps(kind, res, 1)
         target = propagator(model, res)
         assert process_fidelity(target, sequence_unitary(prog.sequence)) > 1 - 1e-3
+
+
+def uniform_terms(n: int, letter: str, coeff: float, weight: int):
+    """coeff times every weight-1 (field) or weight-2 (pair) string of one letter."""
+    sites = [(j,) for j in range(n)] if weight == 1 else list(combinations(range(n), 2))
+    ops = ["".join(letter if k in s else "I" for k in range(n)) for s in sites]
+    return WeightedPauliSum.from_terms(n, [(coeff, PauliString(n, o)) for o in ops])
+
+
+coupling = st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4), coupling, coupling, coupling, coupling,
+    st.sampled_from("XYZ"), st.floats(0.05, 1.5),
+)
+def test_first_order_block_is_ordered_product_of_group_exponentials(n, jx, jy, jz, b, axis, theta):
+    # block order: ZZ, then XX, then YY, then the field
+    groups = [uniform_terms(n, "Z", jz, 2), uniform_terms(n, "X", jx, 2),
+              uniform_terms(n, "Y", jy, 2), uniform_terms(n, axis, b, 1)]
+    groups = [g for g, c in zip(groups, (jz, jx, jy, b)) if c != 0.0]
+    if not groups:
+        return
+    model = WeightedPauliSum(n, tuple(t for g in groups for t in g.terms))
+    want = np.eye(2**n)
+    for g in groups:
+        want = propagator(g, theta) @ want
+    got = sequence_unitary(compile_first_order(model, theta, 1).sequence)
+    assert aligned_distance(want, got) < 1e-9
 
 
 def test_zz_coupling_block_is_exact():
@@ -267,8 +298,8 @@ def test_many_body_rejects_bad_strings():
 def test_many_body_with_field_tracks_oracle():
     p = PauliString.from_string("ZXX")
     model = many_body_model(p, 1.0, FieldSpec("y", 1.0))
-    coarse = compile_many_body_with_field(p, 1.0, np.pi / 4, 4)
-    fine = compile_many_body_with_field(p, 1.0, np.pi / 16, 16)
+    coarse = compile_first_order(model, np.pi, 4)
+    fine = compile_first_order(model, np.pi, 16)
     target = propagator(model, np.pi)
     f_coarse = process_fidelity(target, sequence_unitary(coarse.sequence))
     f_fine = process_fidelity(target, sequence_unitary(fine.sequence))

@@ -10,7 +10,6 @@ from trotterion.models import (
     ising2,
     long_range_ising,
     many_body_model,
-    transverse_axis_for,
     xy2,
     xyz2,
 )
@@ -81,9 +80,3 @@ def test_many_body_model():
     ops = {o for _, o in _ops(model)}
     assert "ZXX" in ops
     assert {"YII", "IYI", "IIY"} <= ops
-
-
-def test_transverse_axis_choice():
-    # the collective field must not commute with the many-body term
-    assert transverse_axis_for(PauliString.from_string("ZXX")) == "y"
-    assert transverse_axis_for(PauliString.from_string("YXXX")) == "z"
