@@ -14,6 +14,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
 
@@ -27,7 +29,7 @@ from .compiler import (
     compile_second_order,
     compile_time_dependent,
 )
-from .gates import GATE_KINDS, DurationModel, apply_sequence, sequence_stats, sequence_unitary
+from .gates import DurationModel, apply_sequence, sequence_stats, sequence_unitary
 from .metrics import GhzMeasurementRecord, ghz_fidelity, hofmann_bounds, process_fidelity, tangle2
 from .models import (
     CouplingGraph,
@@ -42,7 +44,7 @@ from .models import (
 )
 from .noise import NoiseParams, sample_checkpoints
 from .oracle import ramp_evolution, spectrum, time_ordered_propagator
-from .pauli import MAX_SPINS, PauliString, StateVector, _popcounts, columnwise, expectation
+from .pauli import MAX_SPINS, PauliString, StateVector, WeightedPauliSum, _popcounts, columnwise, expectation
 
 SCHEMA_VERSION = 1
 
@@ -59,6 +61,20 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """A scenario file, parsed and checked once; every command runs from this."""
+
+    name: str
+    model: WeightedPauliSum | RampSpec
+    program: Callable[..., CompiledProgram]  # (steps=None, theta=None), see _program
+    psi0: StateVector
+    observables: tuple  # (label, fn, is_probability) per observable, see parse_observable
+    sweep: np.ndarray | None  # theta grid of a sweep scenario
+    noise: NoiseParams | None  # seed already set
+    verify: tuple | None  # (process_fidelity, tol)
+
+
 # -- scenario loading --------------------------------------------------------
 
 
@@ -72,11 +88,6 @@ def bundled_scenarios() -> dict:
 def _is_count(value, least: int) -> bool:
     """A JSON integer (not a boolean) no smaller than least."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _is_real(value) -> bool:
-    """A JSON number (not a boolean)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_plain(value) -> bool:
@@ -99,17 +110,70 @@ def _is_plain(value) -> bool:
 def _real(block: dict, key: str, default=None):
     """block[key], or default when the key is absent, checked to be a number."""
     value = block[key] if default is None else block.get(key, default)
-    if not _is_real(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return value
 
 
-_TOP_LEVEL_KEYS = (
-    "schema", "name", "model", "compile", "initial_state", "observables", "noise", "seed", "verify",
-)
+# The keys each scenario block may hold, as (required, optional). Model
+# blocks are looked up by their preset and compile blocks by their method.
+# A compile block's keys after steps, theta, sweep and resolution restate
+# the model (schema 1) and must agree with it, see _check_restated.
+_KEYS = {
+    "scenario": (("schema", "name", "model", "compile", "initial_state", "observables"),
+                 ("noise", "seed", "verify")),
+    "model": {
+        "ising2": (("B", "J"), ()),
+        "xy2": (("B", "J"), ()),
+        "xyz2": (("B", "J"), ()),
+        "long_range": (("n", "B", "J"), ()),
+        "graph": (("n", "J"), ("phi", "field")),
+        "many_body": (("ops",), ("strength", "field")),
+        "ramp": (("theta_t", "J_start", "J_end", "B"), ()),
+    },
+    "field": (("axis", "strength"), ()),
+    "compile": {
+        "first_order": (("steps",), ("theta", "sweep")),
+        "second_order": (("steps",), ("theta", "sweep")),
+        "many_body": ((), ("theta", "sweep", "ops")),
+        "coupling_graph": ((), ("theta", "sweep", "n", "J", "phi")),
+        "model_steps": (("steps",), ("resolution", "kind", "jx", "jy", "jz", "b")),
+        "many_body_with_field": (("steps",), ("resolution", "ops", "B")),
+        "time_dependent": ((), ("steps",)),
+    },
+    "sweep": (("points", "theta_max"), ("theta_min",)),
+    "noise": ((), ("sigma_rel", "miscal", "shots")),
+    "verify": (("process_fidelity",), ("tol",)),
+}
 
 
-def load_scenario(ref: str) -> dict:
+def _block(raw, name: str, selector: str | None = None) -> dict:
+    """raw, checked to be an object with every key _KEYS[name] requires and no other.
+
+    With a selector ("preset", "method"), raw[selector] names the entry of
+    _KEYS[name] that applies.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the {name} block must be an object, got {raw!r}")
+    keys = _KEYS[name]
+    if selector is not None:
+        kind = raw.get(selector)
+        if not isinstance(kind, str) or kind not in keys:
+            raise ConfigError(f"unknown {name} {selector} {kind!r}; allowed are {sorted(keys)}")
+        keys, name = keys[kind], f"{kind} {name}"
+    required, optional = keys
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"the {name} block is missing required key {key!r}")
+    unknown = sorted(set(raw) - {selector, *required, *optional})
+    if unknown:
+        allowed = [*required, *optional]
+        raise ConfigError(f"unknown keys {unknown} in the {name} block; allowed are {allowed}")
+    return raw
+
+
+def load_scenario(ref: str) -> Scenario:
+    """Read and check a scenario file or bundled name; a malformed one is a ConfigError."""
     if os.path.exists(ref):
         with open(ref) as f:
             cfg = json.load(f)
@@ -118,51 +182,47 @@ def load_scenario(ref: str) -> dict:
         if ref not in names:
             raise ConfigError(f"unknown scenario {ref!r}; try 'trotterion list'")
         cfg = json.loads(names[ref].read_text())
-    if not isinstance(cfg, dict):
-        raise ConfigError("a scenario must be a JSON object")
-    if cfg.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")
-    unknown = sorted(set(cfg) - set(_TOP_LEVEL_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown scenario keys {unknown}; allowed are {list(_TOP_LEVEL_KEYS)}")
-    for key in ("name", "model", "compile", "initial_state", "observables"):
-        if key not in cfg:
-            raise ConfigError(f"scenario is missing required key {key!r}")
-    for key in ("model", "compile", "noise", "verify"):
-        if key in cfg and not isinstance(cfg[key], dict):
-            raise ConfigError(f"the {key} block must be an object")
-    if not isinstance(cfg["compile"].get("sweep", {}), dict):
-        raise ConfigError("the compile sweep block must be an object")
-    if "noise" in cfg:
-        if "seed" not in cfg:
-            raise ConfigError("a seed is mandatory when noise is requested")
-        _check_noise(cfg["noise"])
-    if "seed" in cfg and not _is_count(cfg["seed"], 0):
-        raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
+    _block(cfg, "scenario")
+    if cfg["schema"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema version {cfg['schema']!r}")
     if not _is_plain(cfg):
         raise ConfigError("scenario contains a NaN, infinite or boolean number")
-    if not isinstance(cfg["observables"], list):
-        raise ConfigError(f"observables must be a list, got {cfg['observables']!r}")
     name = cfg["name"]
     if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ConfigError(f"scenario name {name!r} is not a plain file stem")
-    return cfg
+    if "seed" in cfg and not _is_count(cfg["seed"], 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
+    model_cfg = _block(cfg["model"], "model", "preset")
+    model = _build_model(model_cfg)
+    n = 2 if isinstance(model, RampSpec) else model.n
+    program, sweep = _program(_block(cfg["compile"], "compile", "method"), model, model_cfg)
+    if sweep is not None and ("noise" in cfg or "verify" in cfg):
+        raise ConfigError("a sweep scenario takes no noise or verify block")
+    if not isinstance(cfg["observables"], list):
+        raise ConfigError(f"observables must be a list, got {cfg['observables']!r}")
+    verify = None
+    if "verify" in cfg:
+        block = _block(cfg["verify"], "verify")
+        verify = (_real(block, "process_fidelity"), _real(block, "tol", 0.01))
+    return Scenario(
+        name, model, program, parse_state(cfg["initial_state"], n),
+        tuple(parse_observable(o, n) for o in cfg["observables"]), sweep, _noise(cfg), verify,
+    )
 
 
-def _check_noise(noise: dict) -> None:
-    if "shots" in noise and not _is_count(noise["shots"], 1):
-        raise ConfigError(f"noise shots must be a positive integer, got {noise['shots']!r}")
-    sigma = noise.get("sigma_rel", 0.0)
-    if not _is_real(sigma) or sigma < 0:
-        raise ConfigError(f"noise sigma_rel must be a nonnegative number, got {sigma!r}")
-    miscal = noise.get("miscal", {})
-    if not isinstance(miscal, dict):
-        raise ConfigError(f"noise miscal must be an object, got {miscal!r}")
-    for kind, err in miscal.items():
-        if kind not in GATE_KINDS:
-            raise ConfigError(f"noise miscal names unknown gate kind {kind!r}")
-        if not _is_real(err) or abs(err) >= 0.1:
-            raise ConfigError(f"noise miscal for {kind} must be a number in (-0.1, 0.1), got {err!r}")
+def _noise(cfg: dict) -> NoiseParams | None:
+    if "noise" not in cfg:
+        return None
+    if "seed" not in cfg:
+        raise ConfigError("a seed is mandatory when noise is requested")
+    noise = _block(cfg["noise"], "noise")
+    shots = noise.get("shots", 200)
+    if not isinstance(shots, int):
+        raise ConfigError(f"noise shots must be an integer, got {shots!r}")
+    try:
+        return NoiseParams(noise.get("sigma_rel", 0.0), noise.get("miscal", {}), shots, cfg["seed"])
+    except (TypeError, ValueError) as e:  # NoiseParams' own bounds
+        raise ConfigError(f"bad noise block: {e}") from e
 
 
 def _spin_count(cfg: dict) -> int:
@@ -180,46 +240,41 @@ def _coupling_graph(cfg: dict) -> CouplingGraph:
 
 
 def _field(cfg: dict) -> FieldSpec | None:
-    fld = cfg.get("field")
-    return FieldSpec(fld["axis"], _real(fld, "strength")) if fld else None
+    if "field" not in cfg:
+        return None
+    fld = _block(cfg["field"], "field")
+    return FieldSpec(fld["axis"], _real(fld, "strength"))
 
 
 _TWO_SPIN_PRESETS = {"ising2": ising2, "xy2": xy2, "xyz2": xyz2}
 
 
-def _build_model(cfg: dict):
-    """Resolve the model block to (pauli sum or None, ramp or None, n)."""
-    preset = cfg.get("preset")
+def _build_model(cfg: dict) -> WeightedPauliSum | RampSpec:
+    """The model block's Pauli sum, or its ramp."""
+    preset = cfg["preset"]
     try:
         if preset in _TWO_SPIN_PRESETS:
-            return _TWO_SPIN_PRESETS[preset](_real(cfg, "B"), _real(cfg, "J")), None, 2
+            return _TWO_SPIN_PRESETS[preset](_real(cfg, "B"), _real(cfg, "J"))
         if preset == "long_range":
-            n = _spin_count(cfg)
-            model, _ = long_range_ising(n, _real(cfg, "B"), _real(cfg, "J"))
-            return model, None, n
+            return long_range_ising(_spin_count(cfg), _real(cfg, "B"), _real(cfg, "J"))[0]
         if preset == "graph":
-            graph = _coupling_graph(cfg)
-            return coupling_graph_model(graph, _field(cfg)), None, graph.n
+            return coupling_graph_model(_coupling_graph(cfg), _field(cfg))
         if preset == "many_body":
             p = PauliString.from_string(cfg["ops"])
-            return many_body_model(p, _real(cfg, "strength", 1.0), _field(cfg)), None, p.n
-        if preset == "ramp":
-            ramp = RampSpec(*(_real(cfg, k) for k in ("theta_t", "J_start", "J_end", "B")))
-            return None, ramp, 2
+            return many_body_model(p, _real(cfg, "strength", 1.0), _field(cfg))
+        return RampSpec(*(_real(cfg, k) for k in ("theta_t", "J_start", "J_end", "B")))
     except ConfigError:
         raise
     except (TypeError, ValueError) as e:  # the model constructors' own input checks
         raise ConfigError(f"bad {preset} model: {e}") from e
-    raise ConfigError(f"unknown model preset {preset!r}")
 
 
-_STEPPED_METHODS = ("first_order", "second_order", "model_steps", "many_body_with_field")
 _STEP_KINDS = {"ising2": "ising", "xy2": "xy", "xyz2": "xyz"}
 
 
 def _check_restated(comp: dict, model_cfg: dict) -> None:
     """Schema-1 compile keys that restate the Hamiltonian must agree with the model block."""
-    preset, J = model_cfg.get("preset"), model_cfg.get("J")
+    preset, J = model_cfg["preset"], model_cfg.get("J")
     restated = {
         "model_steps": {
             "kind": _STEP_KINDS.get(preset), "b": model_cfg.get("B"), "jx": J,
@@ -227,10 +282,10 @@ def _check_restated(comp: dict, model_cfg: dict) -> None:
         },
         "many_body": {"ops": model_cfg.get("ops")},
         "many_body_with_field": {
-            "ops": model_cfg.get("ops"), "B": (model_cfg.get("field") or {}).get("strength", 0.0),
+            "ops": model_cfg.get("ops"), "B": model_cfg.get("field", {}).get("strength", 0.0),
         },
         "coupling_graph": {"n": model_cfg.get("n"), "J": J, "phi": model_cfg.get("phi", 0.0)},
-    }.get(comp.get("method"), {})
+    }.get(comp["method"], {})
     for key, want in restated.items():
         if key in comp and comp[key] != want:
             raise ConfigError(
@@ -238,42 +293,66 @@ def _check_restated(comp: dict, model_cfg: dict) -> None:
             )
 
 
-def _compile(
-    cfg: dict, model, ramp, steps_override: int | None = None, theta: float | None = None
-) -> CompiledProgram:
-    """Compile the scenario's model as its compile block says.
+_ONE_BLOCK = ("many_body", "coupling_graph")
+_RESOLUTION = {"model_steps": np.pi / 16, "many_body_with_field": np.pi / 4}
 
-    theta, when given, replaces the compile block's; a sweep without an
-    explicit theta compiles at theta_max.
-    """
-    comp = cfg["compile"]
-    _check_restated(comp, cfg["model"])
-    method = comp.get("method")
-    steps = steps_override if steps_override is not None else comp.get("steps")
-    if (steps is not None or method in _STEPPED_METHODS) and not _is_count(steps, 0):
+
+def _steps(method: str, steps):
+    """steps, checked to be an integer >= 0, or absent for a one-block method."""
+    if method in _ONE_BLOCK:
+        if steps is not None:
+            raise ConfigError(f"compile method {method!r} compiles one block and takes no steps")
+    elif not _is_count(steps, 0):
         raise ConfigError(f"compile method {method!r} needs integer steps, got {steps!r}")
-    if method == "time_dependent":
-        if ramp is None:
-            raise ConfigError("time_dependent compilation needs a ramp model")
-        return compile_time_dependent(ramp, steps if steps is not None else 8)
-    if ramp is not None:
-        raise ConfigError(f"compile method {method!r} needs a time-independent model, not a ramp")
-    if method in ("model_steps", "many_body_with_field"):
-        resolution = _real(comp, "resolution", np.pi / 16 if method == "model_steps" else np.pi / 4)
-        return compile_first_order(model, resolution * steps, steps)
-    if theta is None:
-        theta = _real(comp, "theta", comp["sweep"]["theta_max"] if "sweep" in comp else None)
-    if method == "first_order":
-        return compile_first_order(model, theta, steps)
-    if method == "second_order":
-        return compile_second_order(model, theta, steps)
-    if method == "many_body":
-        return compile_first_order(model, theta, 1)
+    return steps
+
+
+def _program(comp: dict, model, model_cfg: dict):
+    """(program, sweep grid or None) of a compile block.
+
+    program(steps=None, theta=None) compiles the model as the block says,
+    steps and theta replacing the block's; a sweep without an explicit
+    theta compiles at theta_max.
+    """
+    method = comp["method"]
+    _check_restated(comp, model_cfg)
+    if (method == "time_dependent") != isinstance(model, RampSpec):
+        raise ConfigError(f"compile method {method!r} does not fit a {model_cfg['preset']} model")
+    if method == "coupling_graph" and (model_cfg["preset"] != "graph" or "field" in model_cfg):
+        raise ConfigError("compile method 'coupling_graph' needs a graph model without a field")
+    sweep = block_theta = None
+    if "sweep" in comp:
+        sw = _block(comp["sweep"], "sweep")
+        if not _is_count(sw["points"], 1):
+            raise ConfigError(f"sweep points must be a positive integer, got {sw['points']!r}")
+        block_theta = _real(sw, "theta_max")
+        sweep = np.linspace(_real(sw, "theta_min", 0.0), block_theta, sw["points"])
+    if "theta" in comp:
+        block_theta = _real(comp, "theta")
+    if block_theta is None and "theta" in _KEYS["compile"][method][1]:
+        raise ConfigError(f"the {method} compile block needs a theta or a sweep")
+    block_steps = _steps(method, comp.get("steps", 8 if method == "time_dependent" else None))
+    if method in _RESOLUTION:
+        resolution = _real(comp, "resolution", _RESOLUTION[method])
     if method == "coupling_graph":
-        if cfg["model"].get("preset") != "graph" or cfg["model"].get("field"):
-            raise ConfigError("compile method 'coupling_graph' needs a graph model without a field")
-        return compile_coupling_graph(_coupling_graph(cfg["model"]), theta)
-    raise ConfigError(f"unknown compile method {method!r}")
+        graph = _coupling_graph(model_cfg)
+
+    def program(steps=None, theta=None) -> CompiledProgram:
+        steps = block_steps if steps is None else _steps(method, steps)
+        theta = block_theta if theta is None else theta
+        if method == "time_dependent":
+            return compile_time_dependent(model, steps)
+        if method in _RESOLUTION:
+            return compile_first_order(model, resolution * steps, steps)
+        if method == "first_order":
+            return compile_first_order(model, theta, steps)
+        if method == "second_order":
+            return compile_second_order(model, theta, steps)
+        if method == "many_body":
+            return compile_first_order(model, theta, 1)
+        return compile_coupling_graph(graph, theta)
+
+    return program, sweep
 
 
 # -- initial states and observables -----------------------------------------
@@ -336,9 +415,9 @@ def parse_observable(spec, n: int):
     raise ConfigError(f"unknown observable {spec!r}")
 
 
-def _rows(variant: str, thetas, obs_fns, amps: np.ndarray) -> list:
+def _rows(variant: str, thetas, observables, amps: np.ndarray) -> list:
     """One CSV row per theta, scoring the states in the columns of amps."""
-    vals = np.array([fn(amps) for _, fn, _ in obs_fns]).reshape(len(obs_fns), len(thetas))
+    vals = np.array([fn(amps) for _, fn, _ in observables]).reshape(len(observables), len(thetas))
     return [(variant, th, list(v), None) for th, v in zip(thetas, vals.T)]
 
 
@@ -349,36 +428,28 @@ def _columns(states) -> np.ndarray:
 # -- scenario execution ------------------------------------------------------
 
 
-def _exact_amps(spec, ramp, psi0, thetas) -> np.ndarray:
-    """Oracle states at every theta as the columns of one array."""
-    if ramp is not None:
-        return _columns(ramp_evolution(ramp, psi0, thetas))
-    return np.stack([spec.propagator(th) @ psi0.amps for th in thetas], axis=1)
+def _exact_amps(sc: Scenario, spec, thetas) -> np.ndarray:
+    """Oracle states at every theta as the columns of one array; spec is None for a ramp."""
+    if spec is None:
+        return _columns(ramp_evolution(sc.model, sc.psi0, thetas))
+    return np.stack([spec.propagator(th) @ sc.psi0.amps for th in thetas], axis=1)
 
 
-def _run_sweep(cfg, out_dir: str) -> str:
+def _run_sweep(sc: Scenario, out_dir: str) -> str:
     """Sweep-mode execution: recompile a single-block program per point."""
-    model, ramp, n = _build_model(cfg["model"])
-    if ramp is not None:
-        raise ConfigError("a sweep needs a time-independent model, not a ramp")
-    sweep = cfg["compile"]["sweep"]
-    if not _is_count(sweep["points"], 1):
-        raise ConfigError(f"sweep points must be a positive integer, got {sweep['points']!r}")
-    thetas = np.linspace(_real(sweep, "theta_min", 0.0), _real(sweep, "theta_max"), sweep["points"])
-    psi0 = parse_state(cfg["initial_state"], n)
-    obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
     digital = _columns(
-        apply_sequence(psi0, _compile(cfg, model, ramp, theta=float(th)).sequence) for th in thetas
+        apply_sequence(sc.psi0, sc.program(theta=float(th)).sequence) for th in sc.sweep
     )
-    exact = _exact_amps(spectrum(model), None, psi0, thetas)
-    pairs = zip(_rows("exact", thetas, obs_fns, exact), _rows("digital", thetas, obs_fns, digital))
-    return _write_csv(cfg, out_dir, obs_fns, [row for pair in pairs for row in pair])
+    exact = _exact_amps(sc, spectrum(sc.model), sc.sweep)
+    pairs = zip(_rows("exact", sc.sweep, sc.observables, exact),
+                _rows("digital", sc.sweep, sc.observables, digital))
+    return _write_csv(sc, out_dir, [row for pair in pairs for row in pair])
 
 
-def _write_csv(cfg, out_dir, obs_fns, rows) -> str:
-    labels = [o[0] for o in obs_fns]
+def _write_csv(sc: Scenario, out_dir, rows) -> str:
+    labels = [o[0] for o in sc.observables]
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, cfg["name"] + ".csv")
+    path = os.path.join(out_dir, sc.name + ".csv")
     with open(path, "w", newline="") as f:
         header = ["variant", "theta"] + labels + [f"{l}_err" for l in labels]
         f.write(",".join(header) + "\n")
@@ -390,40 +461,30 @@ def _write_csv(cfg, out_dir, obs_fns, rows) -> str:
 
 def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None) -> str:
     """Execute one scenario and return the written CSV path."""
-    cfg = load_scenario(ref)
-    if "sweep" in cfg["compile"]:
-        return _run_sweep(cfg, out_dir)
-    model, ramp, n = _build_model(cfg["model"])
-    prog = _compile(cfg, model, ramp)
-    psi0 = parse_state(cfg["initial_state"], n)
-    obs_fns = [parse_observable(o, n) for o in cfg["observables"]]
+    sc = load_scenario(ref)
+    if sc.sweep is not None:
+        return _run_sweep(sc, out_dir)
+    prog = sc.program()
     cp_thetas = prog.checkpoint_thetas()
-    spec = spectrum(model) if ramp is None else None
+    spec = None if isinstance(sc.model, RampSpec) else spectrum(sc.model)
     fine = np.linspace(0.0, cp_thetas[-1], max(4 * len(cp_thetas), 32) + 1)
-    rows = _rows("exact", fine, obs_fns, _exact_amps(spec, ramp, psi0, fine))
-    rows += _rows("digital", cp_thetas, obs_fns, _columns(prog.checkpoint_states(psi0)))
-    if "verify" in cfg:
-        _verify(cfg, spec, ramp, prog)
-    if "noise" in cfg:
-        noise = cfg["noise"]
-        params = NoiseParams(
-            sigma_rel=noise.get("sigma_rel", 0.0),
-            miscal=noise.get("miscal", {}),
-            shots=noise.get("shots", 200),
-            seed=seed_override if seed_override is not None else cfg["seed"],
-        )
-        outcomes = [(fn, is_prob) for _, fn, is_prob in obs_fns]
-        est, err = sample_checkpoints(prog.sequence, psi0, outcomes, prog.checkpoints, params)
+    rows = _rows("exact", fine, sc.observables, _exact_amps(sc, spec, fine))
+    rows += _rows("digital", cp_thetas, sc.observables, _columns(prog.checkpoint_states(sc.psi0)))
+    if sc.verify is not None:
+        _verify(sc, spec, prog)
+    if sc.noise is not None:
+        noise = sc.noise if seed_override is None else replace(sc.noise, seed=seed_override)
+        outcomes = [(fn, is_prob) for _, fn, is_prob in sc.observables]
+        est, err = sample_checkpoints(prog.sequence, sc.psi0, outcomes, prog.checkpoints, noise)
         for th, vals, errs in zip(cp_thetas, est, err):
             rows.append(("noisy", th, list(vals), list(errs)))
-    return _write_csv(cfg, out_dir, obs_fns, rows)
+    return _write_csv(sc, out_dir, rows)
 
 
-def _verify(cfg, spec, ramp, prog) -> None:
-    want = _real(cfg["verify"], "process_fidelity")
-    tol = _real(cfg["verify"], "tol", 0.01)
+def _verify(sc: Scenario, spec, prog) -> None:
+    want, tol = sc.verify
     theta = prog.checkpoint_thetas()[-1]
-    target = time_ordered_propagator(ramp, 2000, theta) if ramp is not None else spec.propagator(theta)
+    target = spec.propagator(theta) if spec is not None else time_ordered_propagator(sc.model, 2000, theta)
     got = process_fidelity(target, sequence_unitary(prog.sequence))
     if abs(got - want) > tol:
         raise VerificationError(
@@ -521,19 +582,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    cfg = load_scenario(args.scenario)
-    model, ramp, _ = _build_model(cfg["model"])
-    prog = _compile(cfg, model, ramp, steps_override=args.steps)
-    print(prog.sequence.to_text())
+    print(load_scenario(args.scenario).program(steps=args.steps).sequence.to_text())
     return 0
 
 
 def _cmd_inspect(args) -> int:
-    cfg = load_scenario(args.scenario)
-    model, ramp, _ = _build_model(cfg["model"])
-    prog = _compile(cfg, model, ramp, steps_override=args.steps)
+    sc = load_scenario(args.scenario)
+    prog = sc.program(steps=args.steps)
     stats = sequence_stats(prog.sequence, DurationModel())
-    print(f"scenario: {cfg['name']}")
+    print(f"scenario: {sc.name}")
     print(f"gates: {stats['gate_count']}")
     print(f"wall_time_us: {_fmt(stats['wall_time_us'])}")
     print(f"checkpoints: {len(prog.checkpoints)}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -36,15 +37,17 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_rel < 0:
-            raise ValueError("sigma_rel must be nonnegative")
+        if not isinstance(self.sigma_rel, Real) or self.sigma_rel < 0:
+            raise ValueError(f"sigma_rel must be a nonnegative number, got {self.sigma_rel!r}")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if not isinstance(self.miscal, dict):
+            raise TypeError(f"miscal must map gate kinds to numbers, got {self.miscal!r}")
         for kind, err in self.miscal.items():
             if kind not in GATE_KINDS:
                 raise ValueError(f"unknown gate kind {kind!r}")
-            if abs(err) >= 0.1:
-                raise ValueError("miscalibration must stay below 10%")
+            if not isinstance(err, Real) or abs(err) >= 0.1:
+                raise ValueError(f"miscalibration of {kind} must be a number below 10%, got {err!r}")
 
 
 @dataclass(frozen=True)

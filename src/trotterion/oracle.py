@@ -110,6 +110,16 @@ def ramp_hamiltonian(ramp: RampSpec, theta: float) -> WeightedPauliSum:
     return ising2(ramp.B, ramp.J_at(theta))
 
 
+def _ramp_slices(ramp: RampSpec, start: float, stop: float, slices: int):
+    """Exact propagators of equal slices from start to stop, in order.
+
+    Each slice evolves under the ramp's Hamiltonian at its midpoint.
+    """
+    d = (stop - start) / slices
+    for k in range(slices):
+        yield propagator(ramp_hamiltonian(ramp, start + (k + 0.5) * d), d)
+
+
 def time_ordered_propagator(
     ramp: RampSpec, fine_steps: int = 2000, theta_end: float | None = None
 ) -> np.ndarray:
@@ -121,11 +131,9 @@ def time_ordered_propagator(
     if fine_steps < 1:
         raise ValueError("fine_steps must be >= 1")
     theta_end = ramp.theta_t if theta_end is None else theta_end
-    dtheta = theta_end / fine_steps
     u = np.eye(4, dtype=complex)
-    for k in range(fine_steps):
-        mid = (k + 0.5) * dtheta
-        u = propagator(ramp_hamiltonian(ramp, mid), dtheta) @ u
+    for step in _ramp_slices(ramp, 0.0, theta_end, fine_steps):
+        u = step @ u
     return u
 
 
@@ -146,11 +154,8 @@ def ramp_evolution(
         span = th - prev
         if span > 0:
             steps = max(1, int(np.ceil(fine_per_unit * span / ramp.theta_t)))
-            dtheta = span / steps
-            for k in range(steps):
-                mid = prev + (k + 0.5) * dtheta
-                h = ramp_hamiltonian(ramp, mid)
-                psi = propagator(h, dtheta) @ psi
+            for step in _ramp_slices(ramp, prev, th, steps):
+                psi = step @ psi
         prev = th
         states.append(StateVector(psi0.n, psi.copy()))
     return states

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import trotterion
 from trotterion.cli import (
+    Scenario,
     bound_from_fixtures,
     bundled_fixture,
     bundled_scenarios,
@@ -425,6 +428,13 @@ def _set(block, key, value):
     return edit
 
 
+def _rename(block, key, new_key):
+    def edit(cfg):
+        cfg[block][new_key] = cfg[block].pop(key)
+
+    return edit
+
+
 def _rename_noise(cfg):
     cfg["nosie"] = cfg.pop("noise")
 
@@ -445,6 +455,16 @@ MALFORMED = {
     "graph_n_disagrees": ("figs6", _graph_method_on_four_spins),
     "sweep_not_object": ("fig3c", _set("compile", "sweep", [25])),
     "initial_state_not_string": ("fig1a_n1", lambda cfg: cfg.update(initial_state=5)),
+    "noise_sigma_typo": ("figs8", _rename("noise", "sigma_rel", "sigma")),
+    "compile_stpes_typo": ("fig1b", _rename("compile", "steps", "stpes")),
+    "model_strenght_typo": ("fig3c", _set("model", "strenght", 2.0)),
+    "sweep_theta_mx_typo": ("fig3c", lambda cfg: cfg["compile"]["sweep"].update(theta_mx=1.0)),
+    "field_axs_typo": ("figs7", lambda cfg: cfg["model"]["field"].update(axs="x")),
+    "steps_on_one_block": ("fig3c", _set("compile", "steps", 5)),
+    "method_not_string": ("fig1a_n1", _set("compile", "method", ["first_order"])),
+    "preset_not_string": ("fig1a_n1", _set("model", "preset", ["ising2"])),
+    "empty_verify": ("fig1a_n4", lambda cfg: cfg.update(verify={})),
+    "sweep_with_verify": ("fig3c", lambda cfg: cfg.update(verify={"process_fidelity": 1.0})),
 }
 
 
@@ -460,6 +480,96 @@ def test_exit_code_malformed_scenario(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compile", "inspect"])
+@pytest.mark.parametrize(
+    "base, edit",
+    [("fig2_ising", lambda cfg: cfg.update(observables=["pauli:QQ"])),
+     ("fig2_ising", lambda cfg: cfg.update(initial_state="uuu")),
+     ("fig3c", lambda cfg: cfg["compile"]["sweep"].update(points=0))],
+)
+def test_every_command_checks_the_whole_scenario(tmp_path, capsys, command, base, edit):
+    cfg = json.loads((bundled_scenarios()[base]).read_text())
+    edit(cfg)
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = [command, str(p)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and captured.out == ""
+    assert not out.exists()
+
+
+def test_missing_required_key_names_its_block(tmp_path, capsys):
+    cfg = json.loads((bundled_scenarios()["fig1a_n4"]).read_text())
+    del cfg["verify"]["process_fidelity"]
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "verify" in err and "process_fidelity" in err
+
+
+@pytest.mark.parametrize("command", ["compile", "inspect"])
+def test_steps_flag_on_one_block_method_is_exit_2(capsys, command):
+    assert main([command, "fig3c", "--steps", "3"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_load_scenario_returns_frozen_spec():
+    sc = load_scenario("figs8")
+    assert isinstance(sc, Scenario)
+    assert (sc.name, sc.psi0.n, sc.sweep, sc.verify) == ("figs8", 2, None, None)
+    assert (sc.noise.sigma_rel, sc.noise.shots, sc.noise.seed) == (0.02, 2000, 7)
+    assert [label for label, _, _ in sc.observables] == ["pop:z:uu", "pop:z:dd"]
+    assert len(sc.program().checkpoints) == 24 and len(sc.program(steps=3).checkpoints) == 3
+    with pytest.raises(FrozenInstanceError):
+        sc.name = "other"
+
+
+# One-key edits of a bundled scenario: a fixed set of values keeps every
+# mutant small (no value asks for more than 13 steps, shots or points).
+MUTANT_VALUES = (None, True, "x", -1, 0, 0.5, 13, [], {}, float("nan"), [[0, 1], [1]])
+
+
+def _key_paths(node, prefix=()):
+    """The path to every object key and list element of a parsed JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def scenario_mutants(draw):
+    cfg = json.loads(bundled_scenarios()[draw(st.sampled_from(sorted(EXPECTED_SCENARIOS)))].read_text())
+    *parents, key = draw(st.sampled_from(list(_key_paths(cfg))))
+    block = cfg
+    for k in parents:
+        block = block[k]
+    edit = draw(st.sampled_from(["drop", "set"] + (["rename"] if isinstance(key, str) else [])))
+    if edit == "set":
+        block[key] = draw(st.sampled_from(MUTANT_VALUES))
+    elif edit == "rename":
+        block[key + "_x"] = block.pop(key)
+    else:
+        del block[key]
+    return cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_mutants())
+def test_mutated_scenario_ends_with_documented_exit_code(mutant):
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "scenario.json")
+        with open(p, "w") as f:
+            json.dump(mutant, f)
+        code = main(["run", p, "--out", os.path.join(d, "out")])
+        assert code in (0, 2, 3, 4)
+        assert sorted(os.listdir(d)) == (["out", "scenario.json"] if code == 0 else ["scenario.json"])
 
 
 def test_exit_code_zero_steps_with_field(tmp_path, capsys):
