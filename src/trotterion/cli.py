@@ -16,7 +16,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 
 import numpy as np
@@ -43,7 +43,7 @@ from .models import (
     xyz2,
 )
 from .noise import NoiseParams, sample_checkpoints
-from .oracle import ramp_evolution, spectrum, time_ordered_propagator
+from .oracle import DENSE_MAX_SPINS, ramp_evolution, sparse_evolution, spectrum, time_ordered_propagator
 from .pauli import MAX_SPINS, PauliString, StateVector, WeightedPauliSum, _popcounts, columnwise, expectation
 
 SCHEMA_VERSION = 1
@@ -236,6 +236,8 @@ def _coupling_graph(cfg: dict) -> CouplingGraph:
     J = np.asarray(cfg["J"])
     if J.dtype.kind not in "if":
         raise ConfigError(f"coupling matrix J must hold numbers, got {cfg['J']!r}")
+    if J.ndim == 2 and np.diagonal(J).any():  # CouplingGraph would zero it
+        raise ConfigError(f"coupling matrix J must have a zero diagonal, got {np.diagonal(J).tolist()}")
     return CouplingGraph(_spin_count(cfg), J.astype(float), _real(cfg, "phi", 0.0))
 
 
@@ -428,11 +430,22 @@ def _columns(states) -> np.ndarray:
 # -- scenario execution ------------------------------------------------------
 
 
-def _exact_amps(sc: Scenario, spec, thetas) -> np.ndarray:
-    """Oracle states at every theta as the columns of one array; spec is None for a ramp."""
-    if spec is None:
+def _dense_spectrum(sc: Scenario) -> Callable:
+    """A thunk that diagonalises the scenario's model on its first call only."""
+    return cache(partial(spectrum, sc.model))
+
+
+def _exact_amps(sc: Scenario, spec: Callable, thetas) -> np.ndarray:
+    """Oracle states at every theta as the columns of one array.
+
+    Above DENSE_MAX_SPINS the states come from sparse_evolution and the
+    spectrum thunk is not called.
+    """
+    if isinstance(sc.model, RampSpec):
         return _columns(ramp_evolution(sc.model, sc.psi0, thetas))
-    return np.stack([spec.propagator(th) @ sc.psi0.amps for th in thetas], axis=1)
+    if sc.model.n > DENSE_MAX_SPINS:
+        return sparse_evolution(sc.model, sc.psi0, thetas)
+    return np.stack([spec().propagator(th) @ sc.psi0.amps for th in thetas], axis=1)
 
 
 def _run_sweep(sc: Scenario, out_dir: str) -> str:
@@ -440,7 +453,7 @@ def _run_sweep(sc: Scenario, out_dir: str) -> str:
     digital = _columns(
         apply_sequence(sc.psi0, sc.program(theta=float(th)).sequence) for th in sc.sweep
     )
-    exact = _exact_amps(sc, spectrum(sc.model), sc.sweep)
+    exact = _exact_amps(sc, _dense_spectrum(sc), sc.sweep)
     pairs = zip(_rows("exact", sc.sweep, sc.observables, exact),
                 _rows("digital", sc.sweep, sc.observables, digital))
     return _write_csv(sc, out_dir, [row for pair in pairs for row in pair])
@@ -466,7 +479,7 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
         return _run_sweep(sc, out_dir)
     prog = sc.program()
     cp_thetas = prog.checkpoint_thetas()
-    spec = None if isinstance(sc.model, RampSpec) else spectrum(sc.model)
+    spec = _dense_spectrum(sc)
     fine = np.linspace(0.0, cp_thetas[-1], max(4 * len(cp_thetas), 32) + 1)
     rows = _rows("exact", fine, sc.observables, _exact_amps(sc, spec, fine))
     rows += _rows("digital", cp_thetas, sc.observables, _columns(prog.checkpoint_states(sc.psi0)))
@@ -481,10 +494,13 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
     return _write_csv(sc, out_dir, rows)
 
 
-def _verify(sc: Scenario, spec, prog) -> None:
+def _verify(sc: Scenario, spec: Callable, prog) -> None:
     want, tol = sc.verify
     theta = prog.checkpoint_thetas()[-1]
-    target = spec.propagator(theta) if spec is not None else time_ordered_propagator(sc.model, 2000, theta)
+    if isinstance(sc.model, RampSpec):
+        target = time_ordered_propagator(sc.model, 2000, theta)
+    else:
+        target = spec().propagator(theta)
     got = process_fidelity(target, sequence_unitary(prog.sequence))
     if abs(got - want) > tol:
         raise VerificationError(

@@ -1,14 +1,24 @@
-"""Ground-truth dense propagators, spectra, and time-ordered evolution.
+"""Ground-truth evolution: dense propagators and spectra, sparse evolution, ramps.
 
-Everything here goes through a Hermitian eigendecomposition: the
-matrices are small (dimension <= 4096) and the spectra are needed for
-level-population analysis anyway. A time-independent Hamiltonian is
-built and diagonalised once (``spectrum``); every propagator at a phase
-theta then comes from ``Spectrum.propagator``, a matrix product that
-costs no further ``eigh``. That product is the one definition of
-exp(-i theta H): its form, ``(V * exp(-i theta w)) @ V^dag``, fixes the
-rounding of every exact curve in the scenario CSVs, so applying the
+A time-independent Hamiltonian on at most ``DENSE_MAX_SPINS`` spins is
+built as a dense matrix and diagonalised once (``spectrum``); every
+propagator at a phase theta then comes from ``Spectrum.propagator``, a
+matrix product that costs no further ``eigh``. That product is the one
+dense definition of exp(-i theta H): its form,
+``(V * exp(-i theta w)) @ V^dag``, fixes the rounding of every exact curve
+in the bundled scenario CSVs (all at six spins or fewer), so applying the
 phases to ``V^dag psi`` instead, though cheaper, would change their bytes.
+
+Above ``DENSE_MAX_SPINS`` a dense propagator costs O(4^n) memory and
+O(8^n) time per phase. There ``sparse_evolution`` applies
+exp(-i theta H) to one state over a whole uniform theta grid with
+``scipy.sparse.linalg.expm_multiply`` on a CSR Hamiltonian (Al-Mohy and
+Higham, SIAM J. Sci. Comput. 33, 488, 2011), and no full matrix is formed.
+The cutoff sits at the measured crossover: on a 33-point grid of a
+long-range Ising model (best of 5, 2-vCPU Xeon VM), n=7 takes 14 ms dense
+against 21 ms sparse, and n=8 77 ms against 34 ms. Full
+propagators (``propagator``, process-fidelity checks) and spectra stay
+dense at every size, and so does the two-spin ramp.
 """
 from __future__ import annotations
 
@@ -18,9 +28,12 @@ from functools import cached_property
 import numpy as np
 
 from .models import RampSpec, ising2
-from .pauli import StateVector, WeightedPauliSum, hamiltonian_matrix
+from .pauli import StateVector, WeightedPauliSum, hamiltonian_matrix, hamiltonian_sparse
 
 DEGENERACY_TOL = 1e-9
+# Largest spin count whose exact curves come from a dense Spectrum; above
+# it they come from sparse_evolution.
+DENSE_MAX_SPINS = 7
 
 
 class DegenerateGroundState(ValueError):
@@ -83,6 +96,30 @@ def spectrum(h) -> Spectrum:
     m = _matrix_of(h)
     _check_hermitian(m)
     return Spectrum(*np.linalg.eigh(m))
+
+
+def sparse_evolution(h: WeightedPauliSum, psi0: StateVector, thetas) -> np.ndarray:
+    """States exp(-i theta H) psi0 at every theta of a uniform grid, as columns (2^n, k).
+
+    One ``expm_multiply`` call covers the whole grid. scipy's interval mode
+    is only accurate on a grid that starts at 0 and rises, so the state is
+    first carried to ``thetas[0]`` and a falling grid runs under -H.
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    thetas = np.asarray(thetas, dtype=float)
+    generator = -1j * hamiltonian_sparse(h)
+    start = psi0.amps if thetas[0] == 0 else expm_multiply(thetas[0] * generator, psi0.amps)
+    if len(thetas) == 1:  # the interval mode needs two points
+        return start[:, None].copy()
+    span = thetas[-1] - thetas[0]
+    step = span / (len(thetas) - 1)
+    if np.max(np.abs(np.diff(thetas) - step)) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError("sparse evolution needs a uniform theta grid")
+    if span < 0:
+        generator, span = -generator, -span
+    amps = expm_multiply(generator, start, start=0.0, stop=span, num=len(thetas), endpoint=True)
+    return np.ascontiguousarray(amps.T)  # the dense path's layout, so batch sums round alike
 
 
 def level_populations(psi0: StateVector, spec: Spectrum) -> np.ndarray:

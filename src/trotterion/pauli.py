@@ -251,21 +251,51 @@ def columnwise(fn):
 _I_POWERS = (1, 1j, -1, -1j)
 
 
-def hamiltonian_matrix(h: WeightedPauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of a weighted Pauli sum.
+def _elements_by_flip(h: WeightedPauliSum) -> dict:
+    """The sum's matrix elements, grouped by the bits each term flips.
 
     A Pauli string maps basis index ``col`` to ``col ^ x`` with phase
     ``i**nY * (-1)**popcount(col & z)``, where x marks its X/Y spins, z its
-    Y/Z spins and nY counts its Y letters. Terms are added in order, so the
-    result equals ``sum(coeff * p.matrix())`` exactly.
+    Y/Z spins and nY counts its Y letters. Returns x -> values, where
+    ``values[col]`` is the element in row ``col ^ x`` and column ``col``.
+    Terms are added in order from zero, in the order a dense sum adds them.
     """
     d = 2**h.n
-    out = np.zeros((d, d), dtype=complex)
     cols = np.arange(d)
     parity = _popcounts(h.n) & 1
+    by_flip = {}
     for coeff, p in h.terms:
         x = sum(1 << j for j, c in enumerate(p.ops) if c in "XY")
         z = sum(1 << j for j, c in enumerate(p.ops) if c in "YZ")
         signs = 1 - 2 * parity[cols & z]
-        out[cols ^ x, cols] += coeff * _I_POWERS[p.ops.count("Y") % 4] * signs
+        if x not in by_flip:
+            by_flip[x] = np.zeros(d, dtype=complex)
+        by_flip[x] += coeff * _I_POWERS[p.ops.count("Y") % 4] * signs
+    return by_flip
+
+
+def hamiltonian_matrix(h: WeightedPauliSum) -> np.ndarray:
+    """Dense Hermitian matrix of a weighted Pauli sum.
+
+    Equals ``sum(coeff * p.matrix())`` over the terms in order, exactly.
+    """
+    d = 2**h.n
+    out = np.zeros((d, d), dtype=complex)
+    cols = np.arange(d)
+    for x, values in _elements_by_flip(h).items():
+        out[cols ^ x, cols] = values
     return out
+
+
+def hamiltonian_sparse(h: WeightedPauliSum):
+    """The matrix of ``hamiltonian_matrix`` in CSR form, built without a dense copy."""
+    from scipy.sparse import csr_matrix
+
+    d = 2**h.n
+    cols = np.arange(d)
+    by_flip = _elements_by_flip(h)
+    if not by_flip:
+        return csr_matrix((d, d), dtype=complex)
+    rows = np.concatenate([cols ^ x for x in by_flip])
+    values = np.concatenate(list(by_flip.values()))
+    return csr_matrix((values, (rows, np.tile(cols, len(by_flip)))), shape=(d, d))

@@ -28,7 +28,7 @@ from trotterion.cli import (
 from trotterion.compiler import compile_many_body
 from trotterion.noise import sample_checkpoints
 from trotterion.metrics import tangle2
-from trotterion.pauli import PauliString, StateVector, expectation, hamming_histogram
+from trotterion.pauli import MAX_SPINS, PauliString, StateVector, expectation, hamming_histogram
 
 EXPECTED_SCENARIOS = {
     "fig1a_n1", "fig1a_n2", "fig1a_n3", "fig1a_n4", "fig1b",
@@ -465,6 +465,7 @@ MALFORMED = {
     "preset_not_string": ("fig1a_n1", _set("model", "preset", ["ising2"])),
     "empty_verify": ("fig1a_n4", lambda cfg: cfg.update(verify={})),
     "sweep_with_verify": ("fig3c", lambda cfg: cfg.update(verify={"process_fidelity": 1.0})),
+    "graph_nonzero_diagonal": ("fig3b", lambda cfg: cfg["model"]["J"][1].__setitem__(1, 0.5)),
 }
 
 
@@ -640,6 +641,86 @@ def test_run_diagonalises_the_hamiltonian_once(tmp_path, monkeypatch):
     rows = read_csv(run_scenario(str(p), str(tmp_path)))
     assert len([r for r in rows if r["variant"] == "exact"]) == 33
     assert calls == {"eigh": 1, "build": 1}
+
+
+def _count_oracle_calls(monkeypatch) -> dict:
+    """Counts of np.linalg.eigh calls and of the oracle's dense Hamiltonian builds."""
+    calls = {"eigh": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    build = counted("build", trotterion.oracle.hamiltonian_matrix)
+    monkeypatch.setattr(trotterion.oracle, "hamiltonian_matrix", build)
+    return calls
+
+
+def _long_range_scenario(tmp_path, n: int, **extra) -> str:
+    cfg = {
+        "schema": 1,
+        "name": f"lr{n}",
+        "model": {"preset": "long_range", "n": n, "B": 0.5, "J": 1.0},
+        "compile": {"method": "first_order", "theta": 1.2, "steps": 4},
+        "initial_state": "u" * n,
+        "observables": ["ham:0", "ham:3", "pauli:Z" + "I" * (n - 1)],
+        **extra,
+    }
+    p = tmp_path / f"lr{n}.json"
+    p.write_text(json.dumps(cfg))
+    return str(p)
+
+
+def test_run_above_the_dense_cutoff_builds_no_dense_matrix(tmp_path, monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
+    rows = read_csv(run_scenario(_long_range_scenario(tmp_path, 8), str(tmp_path)))
+    assert len([r for r in rows if r["variant"] == "exact"]) == 33
+    assert calls == {"eigh": 0, "build": 0}
+
+
+def test_verify_above_the_dense_cutoff_diagonalises_once(tmp_path, monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
+    verify = {"process_fidelity": 1.0, "tol": 1.0}  # runs the check, never fails it
+    run_scenario(_long_range_scenario(tmp_path, 8, verify=verify), str(tmp_path))
+    assert calls == {"eigh": 1, "build": 1}
+
+
+def test_one_point_sweep_above_the_dense_cutoff(tmp_path, monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
+    # the many-body construction compiles 3..6 spins only, so the sweep is over first order
+    sweep = {"points": 1, "theta_min": 0.6, "theta_max": 0.9}
+    p = _long_range_scenario(tmp_path, 8, compile={"method": "first_order", "steps": 40, "sweep": sweep})
+    out = tmp_path / "out"
+    assert main(["run", p, "--out", str(out)]) == 0
+    rows = read_csv(out / "lr8.csv")
+    assert [(r["variant"], r["theta"]) for r in rows] == [("exact", "0.6"), ("digital", "0.6")]
+    assert float(rows[0]["ham:0"]) == pytest.approx(float(rows[1]["ham:0"]), abs=0.02)
+    assert calls == {"eigh": 0, "build": 0}
+
+
+def test_twelve_spin_run_end_to_end(tmp_path, monkeypatch):
+    written = []
+
+    def write_csv(sc, out_dir, rows):  # keeps the rows before they are rounded to text
+        written.extend(rows)
+        return write(sc, out_dir, rows)
+
+    write = trotterion.cli._write_csv
+    monkeypatch.setattr(trotterion.cli, "_write_csv", write_csv)
+    n = MAX_SPINS
+    labels = [f"ham:{k}" for k in range(n + 1)]
+    state = "x:" + "+" * n
+    run_scenario(_long_range_scenario(tmp_path, n, initial_state=state, observables=labels), str(tmp_path))
+    exact = [vals for variant, _, vals, _ in written if variant == "exact"]
+    assert len(exact) == 33
+    psi0 = parse_state(state, n).amps[:, None]
+    assert exact[0] == pytest.approx([parse_observable(label, n)[1](psi0)[0] for label in labels], abs=1e-12)
+    for vals in exact:
+        assert sum(vals) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_python_m_lists_bundled_scenarios():

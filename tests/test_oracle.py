@@ -1,16 +1,28 @@
 """Exact-propagation oracle tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from trotterion.models import RampSpec, ising2, long_range_ising
+from trotterion.models import (
+    CouplingGraph,
+    FieldSpec,
+    RampSpec,
+    coupling_graph_model,
+    ising2,
+    long_range_ising,
+    many_body_model,
+)
 from trotterion.oracle import (
+    DENSE_MAX_SPINS,
     DegenerateGroundState,
     instantaneous_ground_state,
     level_populations,
     propagator,
     ramp_evolution,
     ramp_hamiltonian,
+    sparse_evolution,
     spectrum,
     time_ordered_propagator,
 )
@@ -109,3 +121,55 @@ def test_ramp_hamiltonian_interpolates():
     h = ramp_hamiltonian(ramp, 1.0)
     coeffs = {p.ops: c for c, p in h.terms}
     assert coeffs["XX"] == pytest.approx(2.0)
+
+
+@st.composite
+def oracle_models(draw):
+    """Random long_range, graph and many_body models on 2..8 spins."""
+    n = draw(st.integers(2, 8))
+    strength = st.floats(-2.0, 2.0, allow_nan=False)
+    field = draw(st.none() | st.builds(FieldSpec, st.sampled_from("xyz"), strength))
+    preset = draw(st.sampled_from(["long_range", "graph", "many_body"]))
+    if preset == "long_range":
+        return long_range_ising(n, draw(strength), draw(strength))[0]
+    if preset == "graph":
+        J = np.zeros((n, n))
+        J[np.triu_indices(n, 1)] = draw(st.lists(strength, min_size=n * (n - 1) // 2,
+                                                 max_size=n * (n - 1) // 2))
+        phi = draw(st.sampled_from([0.0, np.pi / 2]))
+        return coupling_graph_model(CouplingGraph(n, J + J.T, phi), field)
+    ops = draw(st.text("IXYZ", min_size=n, max_size=n).filter(lambda ops: ops != "I" * n))
+    return many_body_model(PauliString.from_string(ops), draw(strength), field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    oracle_models(),
+    st.sampled_from([0.0, 0.0, 0.4, 2.5]),
+    st.floats(-1.0, 3.0, allow_nan=False),
+    st.sampled_from([1, 2, 5, 33]),
+    st.integers(0, 1000),
+)
+def test_sparse_evolution_matches_dense_propagators(h, theta_min, span, points, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**h.n) + 1j * rng.normal(size=2**h.n)
+    psi0 = StateVector(h.n, amps / np.linalg.norm(amps))
+    thetas = np.linspace(theta_min, theta_min + span, points)
+    spec = spectrum(h)
+    want = np.stack([spec.propagator(th) @ psi0.amps for th in thetas], axis=1)
+    got = sparse_evolution(h, psi0, thetas)
+    assert got.shape == (2**h.n, points)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_sparse_evolution_at_zero_is_the_initial_state():
+    model, _ = long_range_ising(DENSE_MAX_SPINS + 1, 0.5, 1.0)
+    psi0 = StateVector.from_label("ud" * 4)
+    assert np.array_equal(sparse_evolution(model, psi0, [0.0])[:, 0], psi0.amps)
+    assert np.array_equal(sparse_evolution(model, psi0, np.linspace(0.0, 1.0, 3))[:, 0], psi0.amps)
+
+
+def test_sparse_evolution_rejects_a_nonuniform_grid():
+    model, _ = long_range_ising(3, 0.5, 1.0)
+    with pytest.raises(ValueError, match="uniform"):
+        sparse_evolution(model, StateVector.all_up(3), [0.0, 0.1, 0.3])

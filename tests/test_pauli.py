@@ -13,6 +13,7 @@ from trotterion.pauli import (
     apply_pauli,
     expectation,
     hamiltonian_matrix,
+    hamiltonian_sparse,
     hamming_histogram,
 )
 
@@ -125,6 +126,14 @@ def test_hamiltonian_matrix_equals_kron_sum_in_term_order(h):
     for coeff, p in h.terms:
         want += coeff * p.matrix()
     assert np.array_equal(hamiltonian_matrix(h), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_sums())
+def test_hamiltonian_sparse_equals_dense(h):
+    sparse = hamiltonian_sparse(h)
+    assert sparse.format == "csr" and sparse.shape == (2**h.n, 2**h.n)
+    assert np.max(np.abs(sparse.toarray() - hamiltonian_matrix(h)), initial=0.0) <= 1e-12
 
 
 def test_weighted_sum_validation():
