@@ -16,7 +16,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -43,7 +43,7 @@ from .models import (
     xyz2,
 )
 from .noise import NoiseParams, sample_checkpoints
-from .oracle import DENSE_MAX_SPINS, ramp_evolution, sparse_evolution, spectrum, time_ordered_propagator
+from .oracle import Exact
 from .pauli import MAX_SPINS, PauliString, StateVector, WeightedPauliSum, _popcounts, columnwise, expectation
 
 SCHEMA_VERSION = 1
@@ -430,30 +430,12 @@ def _columns(states) -> np.ndarray:
 # -- scenario execution ------------------------------------------------------
 
 
-def _dense_spectrum(sc: Scenario) -> Callable:
-    """A thunk that diagonalises the scenario's model on its first call only."""
-    return cache(partial(spectrum, sc.model))
-
-
-def _exact_amps(sc: Scenario, spec: Callable, thetas) -> np.ndarray:
-    """Oracle states at every theta as the columns of one array.
-
-    Above DENSE_MAX_SPINS the states come from sparse_evolution and the
-    spectrum thunk is not called.
-    """
-    if isinstance(sc.model, RampSpec):
-        return _columns(ramp_evolution(sc.model, sc.psi0, thetas))
-    if sc.model.n > DENSE_MAX_SPINS:
-        return sparse_evolution(sc.model, sc.psi0, thetas)
-    return np.stack([spec().propagator(th) @ sc.psi0.amps for th in thetas], axis=1)
-
-
 def _run_sweep(sc: Scenario, out_dir: str) -> str:
     """Sweep-mode execution: recompile a single-block program per point."""
     digital = _columns(
         apply_sequence(sc.psi0, sc.program(theta=float(th)).sequence) for th in sc.sweep
     )
-    exact = _exact_amps(sc, _dense_spectrum(sc), sc.sweep)
+    exact = Exact(sc.model).states(sc.psi0, sc.sweep)
     pairs = zip(_rows("exact", sc.sweep, sc.observables, exact),
                 _rows("digital", sc.sweep, sc.observables, digital))
     return _write_csv(sc, out_dir, [row for pair in pairs for row in pair])
@@ -479,12 +461,12 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
         return _run_sweep(sc, out_dir)
     prog = sc.program()
     cp_thetas = prog.checkpoint_thetas()
-    spec = _dense_spectrum(sc)
+    exact = Exact(sc.model)
     fine = np.linspace(0.0, cp_thetas[-1], max(4 * len(cp_thetas), 32) + 1)
-    rows = _rows("exact", fine, sc.observables, _exact_amps(sc, spec, fine))
+    rows = _rows("exact", fine, sc.observables, exact.states(sc.psi0, fine))
     rows += _rows("digital", cp_thetas, sc.observables, _columns(prog.checkpoint_states(sc.psi0)))
     if sc.verify is not None:
-        _verify(sc, spec, prog)
+        _verify(sc, exact, prog)
     if sc.noise is not None:
         noise = sc.noise if seed_override is None else replace(sc.noise, seed=seed_override)
         outcomes = [(fn, is_prob) for _, fn, is_prob in sc.observables]
@@ -494,13 +476,9 @@ def run_scenario(ref: str, out_dir: str = ".", seed_override: int | None = None)
     return _write_csv(sc, out_dir, rows)
 
 
-def _verify(sc: Scenario, spec: Callable, prog) -> None:
+def _verify(sc: Scenario, exact: Exact, prog) -> None:
     want, tol = sc.verify
-    theta = prog.checkpoint_thetas()[-1]
-    if isinstance(sc.model, RampSpec):
-        target = time_ordered_propagator(sc.model, 2000, theta)
-    else:
-        target = spec().propagator(theta)
+    target = exact.propagator(prog.checkpoint_thetas()[-1])
     got = process_fidelity(target, sequence_unitary(prog.sequence))
     if abs(got - want) > tol:
         raise VerificationError(
@@ -534,36 +512,39 @@ def bound_from_fixtures(paths, theta: float = np.pi / 4) -> dict:
     as a cross-check.
     """
     f1_vals, f1_uncs, f2_vals, f2_uncs, recomputed = [], [], [], [], []
-    for path in paths:
-        header, rows = _read_fixture(path)
-        parity_cols = sorted(
-            (h for h in header if h.startswith("parity") and not h.endswith("_unc")),
-            key=lambda h: int(h[len("parity"):]),
-        )
-        for row in rows:
-            fid = float(row["fidelity"])
-            unc = float(row.get("fidelity_unc", 0.0))
-            if parity_cols:
-                f2_vals.append(fid)
-                f2_uncs.append(unc)
-                parities = tuple(float(row[c]) for c in parity_cols)
-                signs = tuple((-1) ** i for i in range(len(parities)))
-                rec = GhzMeasurementRecord(
-                    theta,
-                    float(row["population1"]),
-                    float(row["population2"]),
-                    parities,
-                    signs,
-                )
-                recomputed.append(ghz_fidelity(rec))
-            else:
-                f1_vals.append(fid)
-                f1_uncs.append(unc)
-    if not f1_vals or not f2_vals:
-        raise ConfigError("need at least one eigenbasis and one parity fixture")
-    F1, u1 = float(np.mean(f1_vals)), float(np.sqrt(np.sum(np.square(f1_uncs))) / len(f1_vals))
-    F2, u2 = float(np.mean(f2_vals)), float(np.sqrt(np.sum(np.square(f2_uncs))) / len(f2_vals))
-    b = hofmann_bounds(F1, F2, u1, u2)
+    try:
+        for path in paths:
+            header, rows = _read_fixture(path)
+            parity_cols = sorted(
+                (h for h in header if h.startswith("parity") and not h.endswith("_unc")),
+                key=lambda h: int(h[len("parity"):]),
+            )
+            for row in rows:
+                fid = float(row["fidelity"])
+                unc = float(row.get("fidelity_unc", 0.0))
+                if parity_cols:
+                    f2_vals.append(fid)
+                    f2_uncs.append(unc)
+                    parities = tuple(float(row[c]) for c in parity_cols)
+                    signs = tuple((-1) ** i for i in range(len(parities)))
+                    rec = GhzMeasurementRecord(
+                        theta,
+                        float(row["population1"]),
+                        float(row["population2"]),
+                        parities,
+                        signs,
+                    )
+                    recomputed.append(ghz_fidelity(rec))
+                else:
+                    f1_vals.append(fid)
+                    f1_uncs.append(unc)
+        if not f1_vals or not f2_vals:
+            raise ConfigError("need at least one eigenbasis and one parity fixture")
+        F1, u1 = float(np.mean(f1_vals)), float(np.sqrt(np.sum(np.square(f1_uncs))) / len(f1_vals))
+        F2, u2 = float(np.mean(f2_vals)), float(np.sqrt(np.sum(np.square(f2_uncs))) / len(f2_vals))
+        b = hofmann_bounds(F1, F2, u1, u2)
+    except ValueError as e:  # a non-numeric cell or a fidelity outside [0, 1]; ConfigError too
+        raise ConfigError(f"bad truth table: {e}") from e
     return {
         "F1": F1, "F1_unc": u1, "F2": F2, "F2_unc": u2,
         "lower": b.lower, "upper": b.upper,
@@ -656,7 +637,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError, KeyError) as e:
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError, KeyError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except CompileError as e:

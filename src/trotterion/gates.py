@@ -74,7 +74,6 @@ class GateSequence:
 
     n: int
     gates: tuple = ()
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         for g in self.gates:
@@ -83,11 +82,6 @@ class GateSequence:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def __add__(self, other: "GateSequence") -> "GateSequence":
-        if other.n != self.n:
-            raise DimensionError("cannot concatenate sequences on different spin counts")
-        return GateSequence(self.n, self.gates + other.gates, dict(self.metadata))
 
     def to_text(self) -> str:
         return "\n".join(g.to_line() for g in self.gates)

@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 from scipy.linalg import sqrtm
 
-from .gates import GateOp, GateSequence, apply_gate, apply_sequence, sequence_unitary
+from .gates import GateOp, apply_gate, apply_sequence
 from .pauli import (
     DensityMatrix,
     DimensionError,

@@ -74,7 +74,7 @@ def perturb_sequence(seq: GateSequence, eps: float) -> GateSequence:
     gates = tuple(
         GateOp(g.kind, g.theta * _phase_scale(g.kind, eps), g.phi, g.target) for g in seq.gates
     )
-    return GateSequence(seq.n, gates, dict(seq.metadata))
+    return GateSequence(seq.n, gates)
 
 
 def apply_miscalibration(program, kind: str, rel_err: float):
@@ -86,7 +86,7 @@ def apply_miscalibration(program, kind: str, rel_err: float):
         GateOp(g.kind, g.theta * (1 + rel_err) if g.kind == kind else g.theta, g.phi, g.target)
         for g in seq.gates
     )
-    out = GateSequence(seq.n, gates, dict(seq.metadata))
+    out = GateSequence(seq.n, gates)
     if hasattr(program, "sequence"):
         return replace(program, sequence=out)
     return out

@@ -18,7 +18,7 @@ The cutoff sits at the measured crossover: on a 33-point grid of a
 long-range Ising model (best of 5, 2-vCPU Xeon VM), n=7 takes 14 ms dense
 against 21 ms sparse, and n=8 77 ms against 34 ms. Full
 propagators (``propagator``, process-fidelity checks) and spectra stay
-dense at every size, and so does the two-spin ramp.
+dense at every size, and so does the two-spin ramp. ``Exact`` picks the route.
 """
 from __future__ import annotations
 
@@ -71,29 +71,19 @@ class Spectrum:
         return (self.eigenvectors * np.exp(-1j * theta * self.eigenvalues)) @ self._adjoint
 
 
-def _matrix_of(h) -> np.ndarray:
-    if isinstance(h, WeightedPauliSum):
-        return hamiltonian_matrix(h)
-    return np.asarray(h, dtype=complex)
-
-
 def _check_hermitian(m: np.ndarray) -> None:
     if np.max(np.abs(m - m.conj().T)) > 1e-9:
         raise ValueError("Hamiltonian matrix is not Hermitian")
 
 
 def propagator(h, theta: float) -> np.ndarray:
-    """exp(-i theta H) via eigendecomposition.
-
-    To evolve under one Hamiltonian at several phases, call ``spectrum``
-    once and ``Spectrum.propagator`` per phase.
-    """
+    """exp(-i theta H) via eigendecomposition; ``Exact`` reuses one across phases."""
     return spectrum(h).propagator(theta)
 
 
-def spectrum(h) -> Spectrum:
+def spectrum(h: WeightedPauliSum) -> Spectrum:
     """Full eigendecomposition with degeneracy grouping."""
-    m = _matrix_of(h)
+    m = hamiltonian_matrix(h)
     _check_hermitian(m)
     return Spectrum(*np.linalg.eigh(m))
 
@@ -104,21 +94,28 @@ def sparse_evolution(h: WeightedPauliSum, psi0: StateVector, thetas) -> np.ndarr
     One ``expm_multiply`` call covers the whole grid. scipy's interval mode
     is only accurate on a grid that starts at 0 and rises, so the state is
     first carried to ``thetas[0]`` and a falling grid runs under -H.
+    scipy's one-norm estimate draws from numpy's global random state, so
+    the calls run on a fixed seed and the caller's state is put back.
     """
     from scipy.sparse.linalg import expm_multiply
 
     thetas = np.asarray(thetas, dtype=float)
-    generator = -1j * hamiltonian_sparse(h)
-    start = psi0.amps if thetas[0] == 0 else expm_multiply(thetas[0] * generator, psi0.amps)
-    if len(thetas) == 1:  # the interval mode needs two points
-        return start[:, None].copy()
     span = thetas[-1] - thetas[0]
-    step = span / (len(thetas) - 1)
-    if np.max(np.abs(np.diff(thetas) - step)) > 1e-9 * max(1.0, abs(span)):
+    step = span / max(len(thetas) - 1, 1)
+    if np.max(np.abs(np.diff(thetas) - step), initial=0.0) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("sparse evolution needs a uniform theta grid")
-    if span < 0:
-        generator, span = -generator, -span
-    amps = expm_multiply(generator, start, start=0.0, stop=span, num=len(thetas), endpoint=True)
+    generator = -1j * hamiltonian_sparse(h)
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        start = psi0.amps if thetas[0] == 0 else expm_multiply(thetas[0] * generator, psi0.amps)
+        if len(thetas) == 1:  # the interval mode needs two points
+            return start[:, None].copy()
+        if span < 0:
+            generator, span = -generator, -span
+        amps = expm_multiply(generator, start, start=0.0, stop=span, num=len(thetas), endpoint=True)
+    finally:
+        np.random.set_state(saved)
     return np.ascontiguousarray(amps.T)  # the dense path's layout, so batch sums round alike
 
 
@@ -176,23 +173,50 @@ def time_ordered_propagator(
 
 def ramp_evolution(
     ramp: RampSpec, psi0: StateVector, thetas: np.ndarray, fine_per_unit: int = 2000
-) -> list:
-    """States of the exact time-dependent evolution at the given phases.
+) -> np.ndarray:
+    """States of the exact time-dependent evolution at the given phases, as columns (4, k).
 
     fine_per_unit is the number of integration slices per unit of theta_t.
     """
     thetas = np.asarray(thetas, dtype=float)
     if np.any(np.diff(thetas) < 0):
         raise ValueError("theta grid must be nondecreasing")
-    states = []
-    psi = psi0.amps.copy()
-    prev = 0.0
-    for th in thetas:
+    states = np.empty((len(psi0.amps), len(thetas)), dtype=complex)
+    psi, prev = psi0.amps, 0.0
+    for j, th in enumerate(thetas):
         span = th - prev
         if span > 0:
             steps = max(1, int(np.ceil(fine_per_unit * span / ramp.theta_t)))
             for step in _ramp_slices(ramp, prev, th, steps):
                 psi = step @ psi
         prev = th
-        states.append(StateVector(psi0.n, psi.copy()))
+        states[:, j] = psi
     return states
+
+
+@dataclass(frozen=True)
+class Exact:
+    """The exact oracle of one model (ramp, dense or sparse route), diagonalised at most once.
+
+    Above ``DENSE_MAX_SPINS`` spins only ``propagator`` diagonalises.
+    """
+
+    model: WeightedPauliSum | RampSpec
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return spectrum(self.model)
+
+    def states(self, psi0: StateVector, thetas) -> np.ndarray:
+        """exp(-i theta H) psi0, or the ramp's ordered evolution, as columns (2^n, k)."""
+        if isinstance(self.model, RampSpec):
+            return ramp_evolution(self.model, psi0, thetas)
+        if self.model.n > DENSE_MAX_SPINS:
+            return sparse_evolution(self.model, psi0, thetas)
+        return np.stack([self.spectrum.propagator(th) @ psi0.amps for th in thetas], axis=1)
+
+    def propagator(self, theta: float) -> np.ndarray:
+        """The full 2^n x 2^n propagator from 0 to theta."""
+        if isinstance(self.model, RampSpec):
+            return time_ordered_propagator(self.model, 2000, theta)
+        return self.spectrum.propagator(theta)

@@ -94,9 +94,6 @@ class WeightedPauliSum:
             raise DimensionError("cannot add sums on different spin counts")
         return WeightedPauliSum(self.n, self.terms + other.terms)
 
-    def scaled(self, factor: float) -> "WeightedPauliSum":
-        return WeightedPauliSum(self.n, tuple((factor * c, p) for c, p in self.terms))
-
 
 @dataclass
 class StateVector:
@@ -166,10 +163,6 @@ class DensityMatrix:
         d = 2**self.n
         if self.matrix.shape != (d, d):
             raise DimensionError(f"density matrix shape {self.matrix.shape} != ({d},{d})")
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        return cls(state.n, np.outer(state.amps, state.amps.conj()))
 
     def validate(self, tol: float = 1e-10) -> None:
         m = self.matrix

@@ -204,6 +204,18 @@ def test_exit_code_unknown_scenario():
     assert main(["run", "no_such_scenario"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "compile"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_exit_code_unreadable_scenario(tmp_path, capsys, command, kind):
+    p = tmp_path / "scenario.json"
+    if kind == "directory":
+        p.mkdir()
+    else:
+        p.write_bytes(b'{"schema": 1, "name": "caf\xe9"}')
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_exit_code_schema_violation(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"schema": 1, "name": "bad"}))
@@ -746,6 +758,21 @@ def test_bound_subcommand(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["lower"] <= report["upper"]
     assert report["lower"] == pytest.approx(report["F1"] + report["F2"] - 1, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "eigen_table",
+    [None, "input,fidelity,fidelity_unc\nzz,high,0.01\n", "input,fidelity,fidelity_unc\nzz,1.5,0.01\n"],
+    ids=["directory", "non_numeric_cell", "fidelity_above_one"],
+)
+def test_exit_code_bad_tables(tmp_path, capsys, eigen_table):
+    eigen = tmp_path / "eigen.csv"
+    if eigen_table is None:
+        eigen.mkdir()
+    else:
+        eigen.write_text(eigen_table)
+    assert main(["bound", "--tables", str(eigen), bundled_fixture("truth_table_3spin_ghz.csv")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_bound_requires_both_table_kinds():

@@ -17,6 +17,7 @@ from trotterion.models import (
 from trotterion.oracle import (
     DENSE_MAX_SPINS,
     DegenerateGroundState,
+    Exact,
     instantaneous_ground_state,
     level_populations,
     propagator,
@@ -112,8 +113,8 @@ def test_ramp_evolution_endpoint_matches_propagator_product():
     psi0 = StateVector.all_down(2)
     states = ramp_evolution(ramp, psi0, np.array([0.0, np.pi / 4, np.pi / 2]))
     final = time_ordered_propagator(ramp, 2000) @ psi0.amps
-    assert abs(np.vdot(final, states[-1].amps)) == pytest.approx(1.0, abs=1e-6)
-    assert abs(states[0].overlap(psi0)) == pytest.approx(1.0)
+    assert abs(np.vdot(final, states[:, -1])) == pytest.approx(1.0, abs=1e-6)
+    assert abs(np.vdot(states[:, 0], psi0.amps)) == pytest.approx(1.0)
 
 
 def test_ramp_hamiltonian_interpolates():
@@ -156,7 +157,8 @@ def test_sparse_evolution_matches_dense_propagators(h, theta_min, span, points, 
     psi0 = StateVector(h.n, amps / np.linalg.norm(amps))
     thetas = np.linspace(theta_min, theta_min + span, points)
     spec = spectrum(h)
-    want = np.stack([spec.propagator(th) @ psi0.amps for th in thetas], axis=1)
+    v = spec.eigenvectors  # V exp(-i theta w) V^dag psi0, O(d^2) per theta
+    want = v @ (np.exp(-1j * np.outer(spec.eigenvalues, thetas)) * (v.conj().T @ psi0.amps)[:, None])
     got = sparse_evolution(h, psi0, thetas)
     assert got.shape == (2**h.n, points)
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -173,3 +175,44 @@ def test_sparse_evolution_rejects_a_nonuniform_grid():
     model, _ = long_range_ising(3, 0.5, 1.0)
     with pytest.raises(ValueError, match="uniform"):
         sparse_evolution(model, StateVector.all_up(3), [0.0, 0.1, 0.3])
+
+
+def test_sparse_evolution_leaves_the_global_rng_alone():
+    # theta * H has a one-norm far above 63, where scipy's norm estimate draws random numbers
+    model, _ = long_range_ising(9, 0.5, 1.0)
+    psi0 = StateVector.from_label("ud" * 4 + "u")
+    thetas = np.linspace(0.0, 8.0, 33)
+    runs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        runs.append(sparse_evolution(model, psi0, thetas))
+        after = np.random.get_state()
+        assert after[2] == before[2] and np.array_equal(after[1], before[1])
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_exact_routes_a_ramp_to_the_time_ordered_functions():
+    ramp = RampSpec(np.pi / 2, 0.0, 4.0, 1.0)
+    psi0 = StateVector.all_down(2)
+    thetas = np.linspace(0.0, np.pi / 2, 5)
+    exact = Exact(ramp)
+    assert np.array_equal(exact.states(psi0, thetas), ramp_evolution(ramp, psi0, thetas))
+    assert np.array_equal(exact.propagator(0.9), time_ordered_propagator(ramp, 2000, 0.9))
+
+
+@pytest.mark.parametrize("n", [DENSE_MAX_SPINS, DENSE_MAX_SPINS + 1])
+def test_exact_routes_by_spin_count(n):
+    model, _ = long_range_ising(n, 0.5, 1.0)
+    psi0 = StateVector.from_label("ud" * (n // 2) + "u" * (n % 2))
+    thetas = np.linspace(0.0, 1.2, 9)
+    exact = Exact(model)
+    got = exact.states(psi0, thetas)
+    if n > DENSE_MAX_SPINS:
+        assert np.array_equal(got, sparse_evolution(model, psi0, thetas))
+    else:
+        spec = spectrum(model)
+        assert np.array_equal(got, np.stack([spec.propagator(th) @ psi0.amps for th in thetas], axis=1))
+    want = np.stack([propagator(model, th) @ psi0.amps for th in thetas], axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert np.array_equal(exact.propagator(0.7), propagator(model, 0.7))
