@@ -496,6 +496,8 @@ def _read_fixture(path: str):
         for line in f:
             if line.strip():
                 cells = line.strip().split(",")
+                if len(cells) != len(header):
+                    raise ConfigError(f"fixture {path} has a row of {len(cells)} cells, not {len(header)}")
                 rows.append(dict(zip(header, cells)))
     if "fidelity" not in header:
         raise ConfigError(f"fixture {path} has no fidelity column")

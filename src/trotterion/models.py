@@ -88,10 +88,14 @@ def _pair_term(n: int, i: int, j: int, letter: str) -> PauliString:
     return PauliString(n, ops)
 
 
+def _ising2_terms(B, J) -> list:
+    """ising2's (coefficient, PauliString) terms; J may be an (S, 1) column, one per slice."""
+    return [(B, PauliString(2, "ZI")), (B, PauliString(2, "IZ")), (J, PauliString(2, "XX"))]
+
+
 def ising2(B: float, J: float) -> WeightedPauliSum:
     """Two-spin Ising model: B(Z1 + Z2) + J X1X2."""
-    terms = [(B, PauliString(2, "ZI")), (B, PauliString(2, "IZ")), (J, PauliString(2, "XX"))]
-    return WeightedPauliSum.from_terms(2, terms)
+    return WeightedPauliSum.from_terms(2, _ising2_terms(B, J))
 
 
 def xy2(B: float, J: float) -> WeightedPauliSum:

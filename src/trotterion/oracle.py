@@ -16,9 +16,10 @@ exp(-i theta H) to one state over a whole uniform theta grid with
 Higham, SIAM J. Sci. Comput. 33, 488, 2011), and no full matrix is formed.
 The cutoff sits at the measured crossover: on a 33-point grid of a
 long-range Ising model (best of 5, 2-vCPU Xeon VM), n=7 takes 14 ms dense
-against 21 ms sparse, and n=8 77 ms against 34 ms. Full
-propagators (``propagator``, process-fidelity checks) and spectra stay
-dense at every size, and so does the two-spin ramp. ``Exact`` picks the route.
+against 21 ms sparse, and n=8 77 ms against 34 ms. Full propagators
+(``propagator``, process-fidelity checks) and spectra stay dense at every
+size. The two-spin ramp's slices are built, diagonalised and exponentiated
+as one (S, 4, 4) stack, then multiplied in order. ``Exact`` picks the route.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import RampSpec, ising2
-from .pauli import StateVector, WeightedPauliSum, hamiltonian_matrix, hamiltonian_sparse
+from .models import RampSpec, _ising2_terms, ising2
+from .pauli import StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian_matrix, hamiltonian_sparse
 
 DEGENERACY_TOL = 1e-9
 # Largest spin count whose exact curves come from a dense Spectrum; above
@@ -64,15 +65,16 @@ class Spectrum:
 
     @cached_property
     def _adjoint(self) -> np.ndarray:
-        return self.eigenvectors.conj().T
+        return self.eigenvectors.conj().swapaxes(-1, -2)
 
-    def propagator(self, theta: float) -> np.ndarray:
-        """exp(-i theta H) from the stored eigendecomposition."""
-        return (self.eigenvectors * np.exp(-1j * theta * self.eigenvalues)) @ self._adjoint
+    def propagator(self, theta: float | np.ndarray) -> np.ndarray:
+        """exp(-i theta H) from the eigendecomposition; a stack takes an (S, 1) theta column."""
+        phases = np.exp(-1j * theta * self.eigenvalues)
+        return (self.eigenvectors * phases[..., None, :]) @ self._adjoint
 
 
 def _check_hermitian(m: np.ndarray) -> None:
-    if np.max(np.abs(m - m.conj().T)) > 1e-9:
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0) > 1e-9:
         raise ValueError("Hamiltonian matrix is not Hermitian")
 
 
@@ -144,14 +146,19 @@ def ramp_hamiltonian(ramp: RampSpec, theta: float) -> WeightedPauliSum:
     return ising2(ramp.B, ramp.J_at(theta))
 
 
-def _ramp_slices(ramp: RampSpec, start: float, stop: float, slices: int):
-    """Exact propagators of equal slices from start to stop, in order.
+def _ramp_steps(ramp: RampSpec, edges: np.ndarray, slices: np.ndarray) -> np.ndarray:
+    """Exact propagators of every slice from edges[0] on, stacked (S, 4, 4) in order.
 
-    Each slice evolves under the ramp's Hamiltonian at its midpoint.
+    Interval j, edges[j] to edges[j + 1], has slices[j] equal slices, each under
+    the ramp's Hamiltonian at its midpoint. One pass builds, checks,
+    diagonalises and exponentiates them all, each rounded as a lone slice.
     """
-    d = (stop - start) / slices
-    for k in range(slices):
-        yield propagator(ramp_hamiltonian(ramp, start + (k + 0.5) * d), d)
+    widths = np.repeat(np.diff(edges), slices) / np.repeat(slices, slices)
+    k = np.arange(len(widths)) - np.repeat(np.cumsum(slices) - slices, slices)
+    mids = np.repeat(edges[:-1], slices) + (k + 0.5) * widths
+    m = _stacked_matrices(2, _ising2_terms(ramp.B, ramp.J_at(mids)[:, None]))
+    _check_hermitian(m)
+    return Spectrum(*np.linalg.eigh(m)).propagator(widths[:, None])
 
 
 def time_ordered_propagator(
@@ -166,7 +173,7 @@ def time_ordered_propagator(
         raise ValueError("fine_steps must be >= 1")
     theta_end = ramp.theta_t if theta_end is None else theta_end
     u = np.eye(4, dtype=complex)
-    for step in _ramp_slices(ramp, 0.0, theta_end, fine_steps):
+    for step in _ramp_steps(ramp, np.array([0.0, theta_end]), np.array([fine_steps])):
         u = step @ u
     return u
 
@@ -178,18 +185,17 @@ def ramp_evolution(
 
     fine_per_unit is the number of integration slices per unit of theta_t.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if np.any(np.diff(thetas) < 0):
-        raise ValueError("theta grid must be nondecreasing")
-    states = np.empty((len(psi0.amps), len(thetas)), dtype=complex)
-    psi, prev = psi0.amps, 0.0
-    for j, th in enumerate(thetas):
-        span = th - prev
-        if span > 0:
-            steps = max(1, int(np.ceil(fine_per_unit * span / ramp.theta_t)))
-            for step in _ramp_slices(ramp, prev, th, steps):
-                psi = step @ psi
-        prev = th
+    edges = np.concatenate([[0.0], np.asarray(thetas, dtype=float)])
+    spans = np.diff(edges)
+    if np.any(spans < 0):
+        raise ValueError("theta grid must be nonnegative and nondecreasing")
+    slices = np.ceil(fine_per_unit * spans / ramp.theta_t).astype(int)  # 0 on a zero span
+    steps = _ramp_steps(ramp, edges, slices)
+    states = np.empty((len(psi0.amps), len(spans)), dtype=complex)
+    psi, ends = psi0.amps, np.cumsum(slices)
+    for j, end in enumerate(ends):
+        for step in steps[end - slices[j]:end]:
+            psi = step @ psi
         states[:, j] = psi
     return states
 

@@ -244,26 +244,27 @@ def columnwise(fn):
 _I_POWERS = (1, 1j, -1, -1j)
 
 
-def _elements_by_flip(h: WeightedPauliSum) -> dict:
-    """The sum's matrix elements, grouped by the bits each term flips.
+def _elements_by_flip(n: int, terms) -> dict:
+    """The matrix elements of a sum of terms, grouped by the bits each term flips.
 
     A Pauli string maps basis index ``col`` to ``col ^ x`` with phase
     ``i**nY * (-1)**popcount(col & z)``, where x marks its X/Y spins, z its
     Y/Z spins and nY counts its Y letters. Returns x -> values, where
-    ``values[col]`` is the element in row ``col ^ x`` and column ``col``.
+    ``values[..., col]`` is the element in row ``col ^ x`` and column ``col``.
+    An (S, 1) coefficient column gives one matrix of a stack per entry, each rounded alike.
     Terms are added in order from zero, in the order a dense sum adds them.
     """
-    d = 2**h.n
-    cols = np.arange(d)
-    parity = _popcounts(h.n) & 1
+    cols = np.arange(2**n)
+    parity = _popcounts(n) & 1
     by_flip = {}
-    for coeff, p in h.terms:
+    for coeff, p in terms:
         x = sum(1 << j for j, c in enumerate(p.ops) if c in "XY")
         z = sum(1 << j for j, c in enumerate(p.ops) if c in "YZ")
         signs = 1 - 2 * parity[cols & z]
+        values = coeff * _I_POWERS[p.ops.count("Y") % 4] * signs
         if x not in by_flip:
-            by_flip[x] = np.zeros(d, dtype=complex)
-        by_flip[x] += coeff * _I_POWERS[p.ops.count("Y") % 4] * signs
+            by_flip[x] = np.zeros(values.shape, dtype=complex)
+        by_flip[x] += values
     return by_flip
 
 
@@ -272,11 +273,18 @@ def hamiltonian_matrix(h: WeightedPauliSum) -> np.ndarray:
 
     Equals ``sum(coeff * p.matrix())`` over the terms in order, exactly.
     """
-    d = 2**h.n
-    out = np.zeros((d, d), dtype=complex)
+    return _stacked_matrices(h.n, h.terms)
+
+
+def _stacked_matrices(n: int, terms) -> np.ndarray:
+    """``hamiltonian_matrix`` of terms bit for bit; (S, 1) coefficients give a stack (S, d, d)."""
+    d = 2**n
+    by_flip = _elements_by_flip(n, terms)
+    stack = max((v.shape[:-1] for v in by_flip.values()), key=len, default=())
+    out = np.zeros(stack + (d, d), dtype=complex)
     cols = np.arange(d)
-    for x, values in _elements_by_flip(h).items():
-        out[cols ^ x, cols] = values
+    for x, values in by_flip.items():
+        out[..., cols ^ x, cols] = values
     return out
 
 
@@ -286,7 +294,7 @@ def hamiltonian_sparse(h: WeightedPauliSum):
 
     d = 2**h.n
     cols = np.arange(d)
-    by_flip = _elements_by_flip(h)
+    by_flip = _elements_by_flip(h.n, h.terms)
     if not by_flip:
         return csr_matrix((d, d), dtype=complex)
     rows = np.concatenate([cols ^ x for x in by_flip])

@@ -672,6 +672,17 @@ def _count_oracle_calls(monkeypatch) -> dict:
     return calls
 
 
+def test_ramp_run_diagonalises_all_slices_at_once(tmp_path, monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
+    lone = []
+    propagator = trotterion.oracle.propagator
+    monkeypatch.setattr(trotterion.oracle, "propagator", lambda *args: lone.append(args) or propagator(*args))
+    rows = read_csv(run_scenario("fig1b", str(tmp_path)))
+    assert len([r for r in rows if r["variant"] == "exact"]) == 33  # 2016 ramp slices
+    assert calls == {"eigh": 1, "build": 0}
+    assert lone == []
+
+
 def _long_range_scenario(tmp_path, n: int, **extra) -> str:
     cfg = {
         "schema": 1,
@@ -773,6 +784,18 @@ def test_exit_code_bad_tables(tmp_path, capsys, eigen_table):
         eigen.write_text(eigen_table)
     assert main(["bound", "--tables", str(eigen), bundled_fixture("truth_table_3spin_ghz.csv")]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize(
+    "eigen_table",
+    ["input,fidelity,fidelity_unc\nzz,0.9\n", "input,fidelity,fidelity_unc\nzu,0.95,0.01,7\n"],
+    ids=["missing_cell", "extra_cell"],
+)
+def test_exit_code_ragged_table_row(tmp_path, capsys, eigen_table):
+    eigen = tmp_path / "eigen.csv"
+    eigen.write_text(eigen_table)
+    assert main(["bound", "--tables", str(eigen), bundled_fixture("truth_table_3spin_ghz.csv")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: bad truth table:")
 
 
 def test_bound_requires_both_table_kinds():

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from trotterion.models import (
     CouplingGraph,
+    _ising2_terms,
     FieldSpec,
     RampSpec,
     coupling_graph_model,
@@ -27,7 +28,7 @@ from trotterion.oracle import (
     spectrum,
     time_ordered_propagator,
 )
-from trotterion.pauli import PauliString, StateVector, WeightedPauliSum, hamiltonian_matrix
+from trotterion.pauli import PauliString, StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian_matrix
 
 
 def test_propagator_matches_expm():
@@ -115,6 +116,85 @@ def test_ramp_evolution_endpoint_matches_propagator_product():
     final = time_ordered_propagator(ramp, 2000) @ psi0.amps
     assert abs(np.vdot(final, states[:, -1])) == pytest.approx(1.0, abs=1e-6)
     assert abs(np.vdot(states[:, 0], psi0.amps)) == pytest.approx(1.0)
+
+
+def _per_slice_steps(ramp, start, stop, slices):
+    """The ramp's slice propagators one at a time, as the oracle once built them."""
+    d = (stop - start) / slices
+    for k in range(slices):
+        yield propagator(ramp_hamiltonian(ramp, start + (k + 0.5) * d), d)
+
+
+def _per_slice_evolution(ramp, psi0, thetas, fine_per_unit=2000):
+    states, psi, prev = [], psi0.amps, 0.0
+    for th in thetas:
+        span = th - prev
+        if span > 0:
+            steps = max(1, int(np.ceil(fine_per_unit * span / ramp.theta_t)))
+            for step in _per_slice_steps(ramp, prev, th, steps):
+                psi = step @ psi
+        prev = th
+        states.append(psi)
+    return np.stack(states, axis=1)
+
+
+def _per_slice_propagator(ramp, fine_steps, theta_end):
+    u = np.eye(4, dtype=complex)
+    for step in _per_slice_steps(ramp, 0.0, theta_end, fine_steps):
+        u = step @ u
+    return u
+
+
+FIG1B_RAMP = RampSpec(np.pi / 2, 0.0, 4.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "thetas",
+    [
+        np.linspace(0.0, np.pi / 2, 33),  # fig1b's exact-row grid
+        np.array([0.0, 0.3, 0.3, 0.9, 0.9, np.pi / 2]),
+        np.linspace(0.2, np.pi / 2, 9),
+        np.linspace(0.0, 3.0, 7),  # runs past theta_t, where J_at clips
+    ],
+    ids=["fig1b", "repeated", "starts_above_zero", "past_theta_t"],
+)
+def test_stacked_ramp_evolution_is_bit_identical_to_per_slice(thetas):
+    psi0 = StateVector.all_down(2)
+    assert np.array_equal(ramp_evolution(FIG1B_RAMP, psi0, thetas), _per_slice_evolution(FIG1B_RAMP, psi0, thetas))
+
+
+@pytest.mark.parametrize("fine_steps", [1, 50, 2000])
+@pytest.mark.parametrize("theta_end", [None, 0.9])
+def test_stacked_time_ordered_propagator_is_bit_identical_to_per_slice(fine_steps, theta_end):
+    want = _per_slice_propagator(FIG1B_RAMP, fine_steps, FIG1B_RAMP.theta_t if theta_end is None else theta_end)
+    assert np.array_equal(time_ordered_propagator(FIG1B_RAMP, fine_steps, theta_end), want)
+
+
+@pytest.mark.parametrize("ramp", [FIG1B_RAMP, RampSpec(1.3, -2.5, 0.75, -0.6)])
+def test_stacked_ramp_slices_equal_lone_hamiltonian_matrices(ramp):
+    mids = np.linspace(-0.1, 1.2 * ramp.theta_t, 41)
+    stack = _stacked_matrices(2, _ising2_terms(ramp.B, ramp.J_at(mids)[:, None]))
+    assert stack.shape == (41, 4, 4)
+    for m, mid in zip(stack, mids):
+        assert np.array_equal(m, hamiltonian_matrix(ising2(ramp.B, ramp.J_at(mid))))
+
+
+def test_stacked_matrices_match_lone_builds_with_every_letter():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        strings = [PauliString(n, "".join(rng.choice(list("IXYZ"), n))) for _ in range(int(rng.integers(1, 6)))]
+        coeffs = rng.normal(size=(len(strings), 5, 1))
+        stack = _stacked_matrices(n, list(zip(coeffs, strings)))
+        for k in range(5):
+            lone = WeightedPauliSum.from_terms(n, list(zip(coeffs[:, k, 0], strings)))
+            assert stack[k].tobytes() == hamiltonian_matrix(lone).tobytes()
+
+
+@pytest.mark.parametrize("thetas", [[-0.5, 0.5], [0.0, 0.6, 0.4]], ids=["negative", "decreasing"])
+def test_ramp_evolution_rejects_a_bad_grid(thetas):
+    with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
+        ramp_evolution(FIG1B_RAMP, StateVector.all_down(2), thetas)
 
 
 def test_ramp_hamiltonian_interpolates():
