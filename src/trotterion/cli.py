@@ -24,7 +24,6 @@ import numpy as np
 from .compiler import (
     CompileError,
     CompiledProgram,
-    compile_coupling_graph,
     compile_first_order,
     compile_second_order,
     compile_time_dependent,
@@ -117,8 +116,6 @@ def _real(block: dict, key: str, default=None):
 
 # The keys each scenario block may hold, as (required, optional). Model
 # blocks are looked up by their preset and compile blocks by their method.
-# A compile block's keys after steps, theta, sweep and resolution restate
-# the model (schema 1) and must agree with it, see _check_restated.
 _KEYS = {
     "scenario": (("schema", "name", "model", "compile", "initial_state", "observables"),
                  ("noise", "seed", "verify")),
@@ -135,10 +132,6 @@ _KEYS = {
     "compile": {
         "first_order": (("steps",), ("theta", "sweep")),
         "second_order": (("steps",), ("theta", "sweep")),
-        "many_body": ((), ("theta", "sweep", "ops")),
-        "coupling_graph": ((), ("theta", "sweep", "n", "J", "phi")),
-        "model_steps": (("steps",), ("resolution", "kind", "jx", "jy", "jz", "b")),
-        "many_body_with_field": (("steps",), ("resolution", "ops", "B")),
         "time_dependent": ((), ("steps",)),
     },
     "sweep": (("points", "theta_max"), ("theta_min",)),
@@ -188,14 +181,15 @@ def load_scenario(ref: str) -> Scenario:
     if not _is_plain(cfg):
         raise ConfigError("scenario contains a NaN, infinite or boolean number")
     name = cfg["name"]
-    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+    if (not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name
+            or any(c < " " for c in name)):
         raise ConfigError(f"scenario name {name!r} is not a plain file stem")
     if "seed" in cfg and not _is_count(cfg["seed"], 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     model_cfg = _block(cfg["model"], "model", "preset")
     model = _build_model(model_cfg)
     n = 2 if isinstance(model, RampSpec) else model.n
-    program, sweep = _program(_block(cfg["compile"], "compile", "method"), model, model_cfg)
+    program, sweep = _program(_block(cfg["compile"], "compile", "method"), model, model_cfg["preset"])
     if sweep is not None and ("noise" in cfg or "verify" in cfg):
         raise ConfigError("a sweep scenario takes no noise or verify block")
     if not isinstance(cfg["observables"], list):
@@ -271,45 +265,14 @@ def _build_model(cfg: dict) -> WeightedPauliSum | RampSpec:
         raise ConfigError(f"bad {preset} model: {e}") from e
 
 
-_STEP_KINDS = {"ising2": "ising", "xy2": "xy", "xyz2": "xyz"}
-
-
-def _check_restated(comp: dict, model_cfg: dict) -> None:
-    """Schema-1 compile keys that restate the Hamiltonian must agree with the model block."""
-    preset, J = model_cfg["preset"], model_cfg.get("J")
-    restated = {
-        "model_steps": {
-            "kind": _STEP_KINDS.get(preset), "b": model_cfg.get("B"), "jx": J,
-            "jy": J if preset in ("xy2", "xyz2") else 0.0, "jz": J if preset == "xyz2" else 0.0,
-        },
-        "many_body": {"ops": model_cfg.get("ops")},
-        "many_body_with_field": {
-            "ops": model_cfg.get("ops"), "B": model_cfg.get("field", {}).get("strength", 0.0),
-        },
-        "coupling_graph": {"n": model_cfg.get("n"), "J": J, "phi": model_cfg.get("phi", 0.0)},
-    }.get(comp["method"], {})
-    for key, want in restated.items():
-        if key in comp and comp[key] != want:
-            raise ConfigError(
-                f"compile {key} {comp[key]!r} disagrees with the model block ({want!r})"
-            )
-
-
-_ONE_BLOCK = ("many_body", "coupling_graph")
-_RESOLUTION = {"model_steps": np.pi / 16, "many_body_with_field": np.pi / 4}
-
-
 def _steps(method: str, steps):
-    """steps, checked to be an integer >= 0, or absent for a one-block method."""
-    if method in _ONE_BLOCK:
-        if steps is not None:
-            raise ConfigError(f"compile method {method!r} compiles one block and takes no steps")
-    elif not _is_count(steps, 0):
+    """steps, checked to be an integer >= 0."""
+    if not _is_count(steps, 0):
         raise ConfigError(f"compile method {method!r} needs integer steps, got {steps!r}")
     return steps
 
 
-def _program(comp: dict, model, model_cfg: dict):
+def _program(comp: dict, model, preset: str):
     """(program, sweep grid or None) of a compile block.
 
     program(steps=None, theta=None) compiles the model as the block says,
@@ -317,11 +280,8 @@ def _program(comp: dict, model, model_cfg: dict):
     theta compiles at theta_max.
     """
     method = comp["method"]
-    _check_restated(comp, model_cfg)
     if (method == "time_dependent") != isinstance(model, RampSpec):
-        raise ConfigError(f"compile method {method!r} does not fit a {model_cfg['preset']} model")
-    if method == "coupling_graph" and (model_cfg["preset"] != "graph" or "field" in model_cfg):
-        raise ConfigError("compile method 'coupling_graph' needs a graph model without a field")
+        raise ConfigError(f"compile method {method!r} does not fit a {preset} model")
     sweep = block_theta = None
     if "sweep" in comp:
         sw = _block(comp["sweep"], "sweep")
@@ -331,28 +291,20 @@ def _program(comp: dict, model, model_cfg: dict):
         sweep = np.linspace(_real(sw, "theta_min", 0.0), block_theta, sw["points"])
     if "theta" in comp:
         block_theta = _real(comp, "theta")
-    if block_theta is None and "theta" in _KEYS["compile"][method][1]:
+    if block_theta is None and method != "time_dependent":
         raise ConfigError(f"the {method} compile block needs a theta or a sweep")
-    block_steps = _steps(method, comp.get("steps", 8 if method == "time_dependent" else None))
-    if method in _RESOLUTION:
-        resolution = _real(comp, "resolution", _RESOLUTION[method])
-    if method == "coupling_graph":
-        graph = _coupling_graph(model_cfg)
+    block_steps = _steps(method, comp.get("steps", 8))  # the default is time_dependent's
 
     def program(steps=None, theta=None) -> CompiledProgram:
+        # compile functions are looked up by module name per call, so code that
+        # rebinds those names (tracing, profiling) sees every compile
         steps = block_steps if steps is None else _steps(method, steps)
         theta = block_theta if theta is None else theta
-        if method == "time_dependent":
-            return compile_time_dependent(model, steps)
-        if method in _RESOLUTION:
-            return compile_first_order(model, resolution * steps, steps)
         if method == "first_order":
             return compile_first_order(model, theta, steps)
         if method == "second_order":
             return compile_second_order(model, theta, steps)
-        if method == "many_body":
-            return compile_first_order(model, theta, 1)
-        return compile_coupling_graph(graph, theta)
+        return compile_time_dependent(model, steps)
 
     return program, sweep
 
@@ -567,11 +519,13 @@ def _cmd_run(args) -> int:
     if raw is not None and not raw.strip().isdecimal():
         raise ConfigError(f"TROTTERION_SEED must be a nonnegative integer, got {raw!r}")
     seed = None if raw is None else int(raw)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     refs = args.scenario
     if args.jobs > 1 and len(refs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(refs))) as pool:
             paths = list(pool.map(run_scenario, refs, [args.out] * len(refs), [seed] * len(refs)))
     else:
         paths = [run_scenario(ref, args.out, seed) for ref in refs]

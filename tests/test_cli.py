@@ -1,8 +1,10 @@
 """Command line front end tests."""
+import concurrent.futures
 import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import trotterion
 from trotterion.cli import (
+    _KEYS,
     Scenario,
     bound_from_fixtures,
     bundled_fixture,
@@ -451,8 +454,8 @@ def _rename_noise(cfg):
     cfg["nosie"] = cfg.pop("noise")
 
 
-def _graph_method_on_four_spins(cfg):
-    cfg["compile"] = {"method": "coupling_graph", "theta": 0.5, "n": 4}
+def _coupling_graph_method(cfg):
+    cfg["compile"] = {"method": "coupling_graph", "theta": 0.5}
 
 
 MALFORMED = {
@@ -461,10 +464,11 @@ MALFORMED = {
     "string_process_fidelity": ("fig1a_n4", _set("verify", "process_fidelity", "0.98")),
     "nosie_typo": ("figs8", _rename_noise),
     "boolean_B": ("fig2_ising", _set("model", "B", True)),
-    "kind_disagrees": ("fig2_xyz", _set("compile", "kind", "ising")),
-    "b_disagrees": ("fig2_ising", _set("compile", "b", 3.0)),
-    "ops_disagrees": ("figs7", _set("compile", "ops", "YXX")),
-    "graph_n_disagrees": ("figs6", _graph_method_on_four_spins),
+    # the compile block no longer restates the model: its old keys and methods are unknown
+    "leftover_kind": ("fig2_xyz", _set("compile", "kind", "xyz")),
+    "leftover_resolution": ("fig2_ising", _set("compile", "resolution", 0.19634954084936207)),
+    "leftover_ops": ("figs7", _set("compile", "ops", "ZXX")),
+    "coupling_graph_method": ("figs6", _coupling_graph_method),
     "sweep_not_object": ("fig3c", _set("compile", "sweep", [25])),
     "initial_state_not_string": ("fig1a_n1", lambda cfg: cfg.update(initial_state=5)),
     "noise_sigma_typo": ("figs8", _rename("noise", "sigma_rel", "sigma")),
@@ -472,7 +476,7 @@ MALFORMED = {
     "model_strenght_typo": ("fig3c", _set("model", "strenght", 2.0)),
     "sweep_theta_mx_typo": ("fig3c", lambda cfg: cfg["compile"]["sweep"].update(theta_mx=1.0)),
     "field_axs_typo": ("figs7", lambda cfg: cfg["model"]["field"].update(axs="x")),
-    "steps_on_one_block": ("fig3c", _set("compile", "steps", 5)),
+    "name_control_character": ("fig1a_n1", lambda cfg: cfg.update(name="fig\u0000a")),
     "method_not_string": ("fig1a_n1", _set("compile", "method", ["first_order"])),
     "preset_not_string": ("fig1a_n1", _set("model", "preset", ["ising2"])),
     "empty_verify": ("fig1a_n4", lambda cfg: cfg.update(verify={})),
@@ -526,10 +530,36 @@ def test_missing_required_key_names_its_block(tmp_path, capsys):
     assert "verify" in err and "process_fidelity" in err
 
 
+def test_removed_compile_method_names_the_allowed_ones(tmp_path, capsys):
+    cfg = json.loads((bundled_scenarios()["fig2_ising"]).read_text())
+    cfg["compile"]["method"] = "model_steps"
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["compile", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown compile method 'model_steps'")
+    assert "['first_order', 'second_order', 'time_dependent']" in err
+
+
 @pytest.mark.parametrize("command", ["compile", "inspect"])
-def test_steps_flag_on_one_block_method_is_exit_2(capsys, command):
-    assert main([command, "fig3c", "--steps", "3"]) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+def test_steps_flag_repeats_the_block_of_a_sweep_scenario(capsys, command):
+    block = compile_many_body(PauliString.from_string("ZXX"), np.pi / 6).sequence
+    assert main([command, "fig3c", "--steps", "3"]) == 0
+    out = capsys.readouterr().out
+    if command == "compile":
+        assert out == "\n".join([block.to_text()] * 3) + "\n"
+    else:
+        assert f"gates: {3 * len(block)}" in out
+
+
+def test_programs_compile_through_the_module_names(monkeypatch, capsys):
+    seen = []
+    for name in ("compile_first_order", "compile_second_order", "compile_time_dependent"):
+        fn = getattr(trotterion.cli, name)
+        monkeypatch.setattr(trotterion.cli, name, lambda *args, fn=fn, name=name: seen.append(name) or fn(*args))
+    for scenario in ("fig2_ising", "fig3c", "figs3", "fig1b"):
+        assert main(["inspect", scenario]) == 0
+    assert seen == ["compile_first_order", "compile_first_order", "compile_second_order", "compile_time_dependent"]
 
 
 def test_load_scenario_returns_frozen_spec():
@@ -598,8 +628,8 @@ def test_exit_code_zero_steps_with_field(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "base, compile_block",
-    [("figs6", {"method": "coupling_graph", "theta": 0.5}),
-     ("fig3c", {"method": "many_body", "ops": "ZXX", "theta": 0.5})],
+    [("figs6", {"method": "first_order", "theta": 0.5, "steps": 1}),
+     ("fig3c", {"method": "first_order", "theta": 0.5, "steps": 1})],
 )
 def test_single_block_methods_compile_the_model(tmp_path, base, compile_block):
     cfg = json.loads((bundled_scenarios()[base]).read_text())
@@ -624,35 +654,6 @@ def test_exit_code_sweep_over_ramp(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(p), "--out", str(out)]) == 2
     assert not out.exists()
-
-
-def test_run_diagonalises_the_hamiltonian_once(tmp_path, monkeypatch):
-    calls = {"eigh": 0, "build": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    build = counted("build", trotterion.oracle.hamiltonian_matrix)
-    monkeypatch.setattr(trotterion.oracle, "hamiltonian_matrix", build)
-    cfg = {
-        "schema": 1,
-        "name": "lr6",
-        "model": {"preset": "long_range", "n": 6, "B": 0.5, "J": 1.0},
-        "compile": {"method": "first_order", "theta": 1.2, "steps": 4},
-        "initial_state": "uuuuuu",
-        "observables": ["ham:0", "ham:3", "pauli:ZIIIII"],
-        "verify": {"process_fidelity": 1.0, "tol": 1.0},  # runs the check, never fails it
-    }
-    p = tmp_path / "lr6.json"
-    p.write_text(json.dumps(cfg))
-    rows = read_csv(run_scenario(str(p), str(tmp_path)))
-    assert len([r for r in rows if r["variant"] == "exact"]) == 33
-    assert calls == {"eigh": 1, "build": 1}
 
 
 def _count_oracle_calls(monkeypatch) -> dict:
@@ -696,6 +697,14 @@ def _long_range_scenario(tmp_path, n: int, **extra) -> str:
     p = tmp_path / f"lr{n}.json"
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+def test_run_diagonalises_the_hamiltonian_once(tmp_path, monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
+    verify = {"process_fidelity": 1.0, "tol": 1.0}  # runs the check, never fails it
+    rows = read_csv(run_scenario(_long_range_scenario(tmp_path, 6, verify=verify), str(tmp_path)))
+    assert len([r for r in rows if r["variant"] == "exact"]) == 33
+    assert calls == {"eigh": 1, "build": 1}
 
 
 def test_run_above_the_dense_cutoff_builds_no_dense_matrix(tmp_path, monkeypatch):
@@ -762,6 +771,36 @@ def test_jobs_flag(tmp_path):
     assert (tmp_path / "fig1a_n2.csv").exists()
 
 
+def test_jobs_flag_starts_no_more_workers_than_scenarios(tmp_path, monkeypatch):
+    started = []
+
+    class InProcessPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert main(["run", "fig1a_n1", "fig1a_n2", "--jobs", "5000", "--out", str(tmp_path)]) == 0
+    assert started == [2]
+    assert sorted(os.listdir(tmp_path)) == ["fig1a_n1.csv", "fig1a_n2.csv"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_exit_code_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["run", "fig1a_n1", "fig1a_n2", f"--jobs={jobs}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: --jobs")
+    assert not out.exists()
+
+
 def test_bound_subcommand(capsys):
     tables = [bundled_fixture("truth_table_3spin_eigen.csv"),
               bundled_fixture("truth_table_3spin_ghz.csv")]
@@ -808,3 +847,29 @@ def test_load_scenario_rejects_wrong_schema(tmp_path):
     p.write_text(json.dumps({"schema": 2, "name": "x"}))
     with pytest.raises(Exception):
         load_scenario(str(p))
+
+
+def _readme_key_table() -> dict:
+    """Block (with its preset or method) -> (required, optional) keys, from the README's table."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        text = f.read()
+    table = text[text.index("| block | keys |"):].split("\n\n", 1)[0].splitlines()[2:]
+    rows = {}
+    for line in table:
+        block, keys = line.strip("|").split("|")
+        name, *selected = re.findall(r"`(\w+)`", block) or ["scenario"]  # the "top level" row
+        keys = re.findall(r"(\*\*)?`(\w+)`", re.sub(r"\([^)]*\)", "", keys))
+        entry = (sorted(k for bold, k in keys if bold), sorted(k for bold, k in keys if not bold))
+        for selector in selected or [None]:
+            assert (name, selector) not in rows, line
+            rows[name, selector] = entry
+    return rows
+
+
+def test_readme_key_table_matches_the_schema():
+    want = {}
+    for block, keys in _KEYS.items():
+        for selector, (required, optional) in (keys.items() if isinstance(keys, dict) else [(None, keys)]):
+            want[block, selector] = (sorted(required), sorted(optional))
+    assert _readme_key_table() == want
