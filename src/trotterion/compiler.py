@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .pauli import PauliString, StateVector, WeightedPauliSum
 
 DECOMP_TOL = 1e-10
 MAX_LAYERS = 3  # largest refocusing subset the exact search tries before nnls
-_SCREEN_CHUNK = 1024  # subsets screened per batched solve
+_SCREEN_CHUNK = 4096  # subsets per batched Gram fill and screen
 
 
 class CompileError(ValueError):
@@ -145,34 +145,55 @@ def _pattern_candidates(n: int):
     return cands, pats
 
 
-def _screened_subsets(pats: np.ndarray, target: np.ndarray, L: int):
-    """L-subsets of the patterns that may fit target, in combinations order.
+@lru_cache(maxsize=None)
+def _subset_screen(n: int, L: int):
+    """Every L-subset of the n-spin patterns with its inverse Gram block.
 
-    The normal equations of a chunk of subsets at a time screen out those
-    whose least-squares fit misses target or needs a negative weight. The
-    bounds are far looser than the exact fit's, and subsets with a
-    singular Gram block always pass (its entries are integers, so a
-    regular block has |det| >= 1), so every subset the exact fit accepts
-    is yielded.
+    Returns the subsets' pattern indices (subsets x L, in combinations
+    order) and the inverse of each subset's Gram block (subsets x L x L),
+    both read-only. None of it depends on the target, so a graph is
+    screened with one gather and one batched product per chunk. Gram
+    entries are integers, so a regular block has |det| >= 1; the few
+    singular blocks (15 of 4495 at n=5, L=3) get their pseudo-inverse,
+    which gives the minimum-norm least-squares fit that lstsq returns.
     """
-    tt = float(target @ target)
-    proj = pats @ target
-    subsets = combinations(range(len(pats)), L)
-    while True:
-        idx = np.fromiter(chain.from_iterable(islice(subsets, _SCREEN_CHUNK)), np.intp)
-        if not len(idx):
-            return
-        idx = idx.reshape(-1, L)
-        rows = pats[idx]  # subsets x L x pairs
+    _, pats = _pattern_candidates(n)
+    idx = np.fromiter(chain.from_iterable(combinations(range(len(pats)), L)), np.uint16)
+    idx = idx.reshape(-1, L)
+    gram_inv = np.empty((len(idx), L, L))
+    for a in range(0, len(idx), _SCREEN_CHUNK):
+        rows = pats[idx[a : a + _SCREEN_CHUNK]]  # subsets x L x pairs
         gram = rows @ rows.transpose(0, 2, 1)
-        rhs = proj[idx]
-        regular = np.abs(np.linalg.det(gram)) >= 1e-6
-        w = np.linalg.solve(gram[regular], rhs[regular][..., None])[..., 0]
-        r2 = tt - np.einsum("kl,kl->k", rhs[regular], w)
-        keep = ~regular
-        keep[regular] = (r2 <= 1e-10 + 1e-9 * tt) & (w.min(axis=1) >= -1e-6)
-        for sub in idx[keep]:
-            yield tuple(int(i) for i in sub)
+        regular = np.abs(np.linalg.det(gram)) >= 0.5
+        inv = gram_inv[a : a + _SCREEN_CHUNK]
+        inv[regular] = np.linalg.inv(gram[regular])
+        inv[~regular] = np.linalg.pinv(gram[~regular], rcond=1e-9, hermitian=True)
+    idx.setflags(write=False)
+    gram_inv.setflags(write=False)
+    return idx, gram_inv
+
+
+def _screened_subsets(n: int, target: np.ndarray, L: int):
+    """L-subsets of the n-spin patterns that may fit target, in combinations order.
+
+    The cached inverse Gram blocks give each subset's least-squares fit
+    from its projections of target; a chunk at a time, subsets whose fit
+    misses target or needs a negative weight are screened out. The bounds
+    are far looser than the exact fit's, so every subset the exact fit
+    accepts is yielded.
+    """
+    _, pats = _pattern_candidates(n)
+    idx, gram_inv = _subset_screen(n, L)
+    tt = float(target @ target)
+    rhs = (pats @ target)[idx]  # subsets x L
+    for a in range(0, len(idx), _SCREEN_CHUNK):
+        chunk = slice(a, a + _SCREEN_CHUNK)
+        w = np.einsum("kij,kj->ki", gram_inv[chunk], rhs[chunk])
+        r2 = tt - np.einsum("kl,kl->k", rhs[chunk], w)
+        hits = np.flatnonzero(r2 <= 1e-10 + 1e-9 * tt)
+        hits = hits[w[hits].min(axis=1) >= -1e-6]
+        for sub in idx[chunk][hits].tolist():
+            yield tuple(sub)
 
 
 def _decompose_graph(g: CouplingGraph, theta: float):
@@ -180,7 +201,10 @@ def _decompose_graph(g: CouplingGraph, theta: float):
 
     The first subset of at most MAX_LAYERS patterns, in combinations
     order, whose least-squares fit is exact and nonnegative; failing
-    that, a nonnegative least-squares fit over all patterns.
+    that, a nonnegative least-squares fit over all patterns. Subsets are
+    screened with the cached inverse Gram blocks of `_subset_screen`, and
+    only those the screen passes get an exact lstsq fit. Signed couplings
+    need no special case: signed patterns s_i s_j carry negative pairs.
     """
     iu = np.triu_indices(g.n, 1)
     target = theta * g.J[iu]
@@ -201,7 +225,7 @@ def _decompose_graph(g: CouplingGraph, theta: float):
     for L in range(1, MAX_LAYERS + 1):
         if len(cands) ** L > 10**6:
             break
-        for idx in _screened_subsets(pats, target, L):
+        for idx in _screened_subsets(g.n, target, L):
             sol = try_subset(idx)
             if sol is not None:
                 return sol
@@ -278,6 +302,16 @@ def _many_body_gates(p: PauliString, theta: float):
 # -- per-step block assembly -------------------------------------------------
 
 
+def _uniform_pulse(w: float, phi: float) -> GateOp:
+    """O4(w, phi), with a negative phase w folded into [0, pi).
+
+    The generator sum_{i<j} sigma^i sigma^j has eigenvalue gaps
+    2(k'-k)(n-k-k'), all even, so O4(w + pi) equals O4(w) up to a global
+    phase. Nonnegative phases are emitted unchanged.
+    """
+    return GateOp("O4", w % np.pi if w < 0 else w, phi)
+
+
 def _coupling_gates(n: int, couplings, many, dtheta: float):
     gates = []
     Jz = couplings["Z"]
@@ -289,15 +323,15 @@ def _coupling_gates(n: int, couplings, many, dtheta: float):
         # trailing O3(pi/2, 0) cancels the residual collective rotation
         wrap = GateOp("O3", np.pi / 4, 0.0)
         gates.extend(
-            [wrap, GateOp("O4", uniform * dtheta, np.pi / 2), wrap, GateOp("O3", np.pi / 2, 0.0)]
+            [wrap, _uniform_pulse(uniform * dtheta, np.pi / 2), wrap, GateOp("O3", np.pi / 2, 0.0)]
         )
     for letter, phi in (("X", 0.0), ("Y", np.pi / 2)):
         J = couplings[letter]
         if not np.any(J):
             continue
         uniform = _is_uniform_all_pairs(J)
-        if uniform is not None and uniform * dtheta >= 0:
-            gates.append(GateOp("O4", uniform * dtheta, phi))
+        if uniform is not None:
+            gates.append(_uniform_pulse(uniform * dtheta, phi))
         else:
             gates.extend(_graph_gates(CouplingGraph(n, J, phi), dtheta))
     for coeff, p in many:

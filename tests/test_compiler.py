@@ -12,6 +12,8 @@ from trotterion.compiler import (
     CompileError,
     _layer_gates,
     _pattern_candidates,
+    _screened_subsets,
+    _subset_screen,
     compile_coupling_graph,
     compile_first_order,
     compile_many_body,
@@ -19,7 +21,7 @@ from trotterion.compiler import (
     compile_second_order,
     compile_time_dependent,
 )
-from trotterion.gates import sequence_unitary
+from trotterion.gates import apply_sequence, sequence_unitary
 from trotterion.metrics import process_fidelity
 from trotterion.models import (
     CouplingGraph,
@@ -27,10 +29,11 @@ from trotterion.models import (
     RampSpec,
     coupling_graph_model,
     ising2,
+    long_range_ising,
     many_body_model,
     xyz2,
 )
-from trotterion.oracle import propagator, time_ordered_propagator
+from trotterion.oracle import propagator, sparse_evolution, time_ordered_propagator
 from trotterion.pauli import PauliString, StateVector, WeightedPauliSum, hamming_histogram
 
 THETA_A = np.pi / (2 * np.sqrt(2))
@@ -118,16 +121,49 @@ def uniform_terms(n: int, letter: str, coeff: float, weight: int):
 coupling = st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1))
 
 
+@st.composite
+def pair_group(draw, n: int, letter: str):
+    """None, a uniform coupling of either sign, or a signed or nonnegative integer graph."""
+    kind = draw(st.sampled_from(["none", "uniform", "graph"]))
+    if kind == "none":
+        return None
+    if kind == "uniform":
+        c = draw(coupling.filter(bool))
+        return uniform_terms(n, letter, c, 2)
+    low = draw(st.sampled_from([0, -2]))
+    iu = np.triu_indices(n, 1)
+    J = np.zeros((n, n))
+    J[iu] = draw(st.lists(st.integers(low, low + 3), min_size=len(iu[0]), max_size=len(iu[0])))
+    if not J.any():
+        return None
+    return coupling_graph_model(CouplingGraph(n, J + J.T, 0.0 if letter == "X" else np.pi / 2))
+
+
+@st.composite
+def block_groups(draw):
+    """(n, the term groups of one first-order block, in block order)."""
+    n = draw(st.integers(2, 6))
+    jz = draw(coupling)
+    groups = [uniform_terms(n, "Z", jz, 2) if jz else None]
+    if n <= 4:
+        groups += [uniform_terms(n, letter, c, 2) if c else None
+                   for letter, c in (("X", draw(coupling)), ("Y", draw(coupling)))]
+    else:  # nonuniform graphs and many-body strings at n = 5 and 6
+        groups += [draw(pair_group(n, "X")), draw(pair_group(n, "Y"))]
+        if draw(st.booleans()):
+            site = draw(st.integers(0, n - 1))
+            ops = "".join(draw(st.sampled_from("YZ")) if k == site else "X" for k in range(n))
+            groups.append(many_body_model(PauliString(n, ops), draw(coupling.filter(bool))))
+    b = draw(coupling)
+    groups.append(uniform_terms(n, draw(st.sampled_from("XYZ")), b, 1) if b else None)
+    return n, [g for g in groups if g is not None]
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 4), coupling, coupling, coupling, coupling,
-    st.sampled_from("XYZ"), st.floats(0.05, 1.5),
-)
-def test_first_order_block_is_ordered_product_of_group_exponentials(n, jx, jy, jz, b, axis, theta):
-    # block order: ZZ, then XX, then YY, then the field
-    groups = [uniform_terms(n, "Z", jz, 2), uniform_terms(n, "X", jx, 2),
-              uniform_terms(n, "Y", jy, 2), uniform_terms(n, axis, b, 1)]
-    groups = [g for g, c in zip(groups, (jz, jx, jy, b)) if c != 0.0]
+@given(block_groups(), st.floats(0.05, 1.5))
+def test_first_order_block_is_ordered_product_of_group_exponentials(block, theta):
+    # block order: ZZ, then XX, then YY, then many-body strings, then the field
+    n, groups = block
     if not groups:
         return
     model = WeightedPauliSum(n, tuple(t for g in groups for t in g.terms))
@@ -136,6 +172,29 @@ def test_first_order_block_is_ordered_product_of_group_exponentials(n, jx, jy, j
         want = propagator(g, theta) @ want
     got = sequence_unitary(compile_first_order(model, theta, 1).sequence)
     assert aligned_distance(want, got) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_negative_uniform_coupling_is_one_folded_pulse(n):
+    # O4(w + pi) equals O4(w) up to a global phase, so a negative uniform
+    # XX phase is one pulse, not a refocused graph
+    model, _ = long_range_ising(n, 0.5, -1.0)
+    prog = compile_first_order(model, 1.0, 4)
+    assert [g.kind for g in prog.sequence.gates] == ["O4", "O2"] * 4
+    assert prog.sequence.gates[0].theta == np.pi - 0.25
+    xx = uniform_terms(n, "X", -1.0, 2)
+    block = compile_first_order(xx, 0.25, 1).sequence
+    assert aligned_distance(propagator(xx, 0.25), sequence_unitary(block)) < 1e-9
+
+
+def test_sign_fold_leaves_nonnegative_phases_and_folds_zz():
+    prog = compile_first_order(xyz2(1.0, -1.0), 1.0, 1)
+    thetas = [g.theta for g in prog.sequence.gates if g.kind == "O4"]
+    assert thetas == [np.pi - 1.0] * 3  # ZZ, XX and YY
+    assert compile_first_order(xyz2(1.0, 1.0), 1.0, 1).sequence.gates[1].theta == 1.0
+    # a phase below -pi folds into [0, pi) as well
+    big = compile_first_order(uniform_terms(3, "Y", -1.0, 2), 4.0, 1).sequence.gates
+    assert len(big) == 1 and 0.0 <= big[0].theta < np.pi
 
 
 def test_zz_coupling_block_is_exact():
@@ -263,11 +322,69 @@ def test_graph_decomposition_fit_count(monkeypatch):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
-    g = CouplingGraph(6, seeded_graph(6, 3, 0, 3), 0.0)
-    prog = compile_coupling_graph(g, 0.7)
-    assert 0 < len(calls) <= 100  # of the 41,727 subsets of at most 3 patterns at n=6
-    target = propagator(coupling_graph_model(g), 0.7)
-    assert aligned_distance(target, sequence_unitary(prog.sequence)) < 1e-9
+    # no subset of at most 3 of the 63 patterns fits this graph, and the
+    # screen fits singular Gram blocks too, so none of the 41,727 subsets
+    # gets an exact fit before nnls; a two-pattern sum costs one exact fit
+    for J, fits in ((seeded_graph(6, 3, 0, 3), 0), (REFERENCE_GRAPHS["two_patterns6"][0], 1)):
+        calls.clear()
+        g = CouplingGraph(6, J, 0.0)
+        prog = compile_coupling_graph(g, 0.7)
+        assert len(calls) == fits
+        target = propagator(coupling_graph_model(g), 0.7)
+        assert aligned_distance(target, sequence_unitary(prog.sequence)) < 1e-9
+
+
+def screen_graphs(n: int, seed: int):
+    """Signed and nonnegative integer graphs plus integer pattern sums, as pair vectors."""
+    rng = np.random.default_rng(seed)
+    _, pats = _pattern_candidates(n)
+    pairs = pats.shape[1]
+    for _ in range(2):
+        yield rng.integers(0, 4, pairs).astype(float)
+        yield rng.integers(-2, 3, pairs).astype(float)
+        k = int(rng.integers(1, 4))
+        yield rng.integers(-2, 4, k) @ pats[rng.choice(len(pats), k, replace=False)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_screen_yields_every_subset_the_exact_fit_accepts(n):
+    mat = _pattern_candidates(n)[1].T
+    for L in (1, 2, 3):
+        idx, gram_inv = _subset_screen(n, L)
+        assert not idx.flags.writeable and not gram_inv.flags.writeable
+        assert [tuple(s) for s in idx.tolist()] == list(combinations(range(mat.shape[1]), L))
+    for seed, J in enumerate(screen_graphs(n, 17 + n)):
+        if not J.any():
+            continue
+        target = (0.3 + 0.1 * seed) * J
+        for L in (1, 2, 3):
+            screened = set(_screened_subsets(n, target, L))
+            for sub in combinations(range(mat.shape[1]), L):
+                w, *_ = np.linalg.lstsq(mat[:, sub], target, rcond=None)
+                if np.min(w) >= -1e-12 and np.linalg.norm(mat[:, sub] @ w - target) <= DECOMP_TOL:
+                    assert sub in screened, (J, sub)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_graph_models_compile_beyond_six_spins(n):
+    # 511 and 1023 patterns, so subset indices pass 255; at n=9 the sum of
+    # patterns 300 and 510 is found among the 130,305 pattern pairs, and
+    # the random graphs fall through to nnls
+    rng = np.random.default_rng(n)
+    _, pats = _pattern_candidates(n)
+    iu = np.triu_indices(n, 1)
+    for vec in (rng.integers(0, 4, len(iu[0])), 2 * pats[300] + pats[-1]):
+        J = np.zeros((n, n))
+        J[iu] = vec
+        model = coupling_graph_model(CouplingGraph(n, J + J.T, 0.0))
+        prog = compile_first_order(model, 0.7, 1)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi0 = StateVector(n, amps / np.linalg.norm(amps))
+        got = apply_sequence(psi0, prog.sequence).amps
+        want = sparse_evolution(model, psi0, [0.0, 0.7])[:, -1]
+        overlap = np.vdot(want, got)
+        assert abs(overlap) > 1 - 1e-9
+        assert np.max(np.abs(got * np.conj(overlap) / abs(overlap) - want)) < 1e-9
 
 
 @pytest.mark.parametrize("ops", ["ZXX", "YXX", "ZXXX", "YXXX", "XXXZ", "XZXX", "XXXXY"])
