@@ -59,11 +59,10 @@ from .models import (
 )
 from .noise import (
     NoiseParams,
-    ShotEnsemble,
     apply_miscalibration,
-    ensemble_mean_expectation,
     perturb_sequence,
-    run_noisy_ensemble,
+    sample_checkpoints,
+    shot_states,
 )
 from .oracle import (
     DegenerateGroundState,

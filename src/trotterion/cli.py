@@ -29,7 +29,7 @@ from .compiler import (
     compile_time_dependent,
 )
 from .gates import DurationModel, apply_sequence, sequence_stats, sequence_unitary
-from .metrics import GhzMeasurementRecord, ghz_fidelity, hofmann_bounds, process_fidelity, tangle2
+from .metrics import GhzMeasurementRecord, TruthTable, ghz_fidelity, hofmann_bounds, process_fidelity, tangle2
 from .models import (
     CouplingGraph,
     FieldSpec,
@@ -209,12 +209,9 @@ def _noise(cfg: dict) -> NoiseParams | None:
         return None
     if "seed" not in cfg:
         raise ConfigError("a seed is mandatory when noise is requested")
-    noise = _block(cfg["noise"], "noise")
-    shots = noise.get("shots", 200)
-    if not isinstance(shots, int):
-        raise ConfigError(f"noise shots must be an integer, got {shots!r}")
+    block = _block(cfg["noise"], "noise")
     try:
-        return NoiseParams(noise.get("sigma_rel", 0.0), noise.get("miscal", {}), shots, cfg["seed"])
+        return NoiseParams(**block, seed=cfg["seed"])
     except (TypeError, ValueError) as e:  # NoiseParams' own bounds
         raise ConfigError(f"bad noise block: {e}") from e
 
@@ -465,7 +462,7 @@ def bound_from_fixtures(paths, theta: float = np.pi / 4) -> dict:
     recomputed from parities and populations at the given target angle
     as a cross-check.
     """
-    f1_vals, f1_uncs, f2_vals, f2_uncs, recomputed = [], [], [], [], []
+    eigen, entangling, recomputed = [], [], []
     try:
         for path in paths:
             header, rows = _read_fixture(path)
@@ -473,12 +470,10 @@ def bound_from_fixtures(paths, theta: float = np.pi / 4) -> dict:
                 (h for h in header if h.startswith("parity") and not h.endswith("_unc")),
                 key=lambda h: int(h[len("parity"):]),
             )
-            for row in rows:
-                fid = float(row["fidelity"])
-                unc = float(row.get("fidelity_unc", 0.0))
+            for number, row in enumerate(rows, 1):
+                entry = (row.get("input", number), float(row["fidelity"]), float(row.get("fidelity_unc", 0.0)))
                 if parity_cols:
-                    f2_vals.append(fid)
-                    f2_uncs.append(unc)
+                    entangling.append(entry)
                     parities = tuple(float(row[c]) for c in parity_cols)
                     signs = tuple((-1) ** i for i in range(len(parities)))
                     rec = GhzMeasurementRecord(
@@ -490,12 +485,12 @@ def bound_from_fixtures(paths, theta: float = np.pi / 4) -> dict:
                     )
                     recomputed.append(ghz_fidelity(rec))
                 else:
-                    f1_vals.append(fid)
-                    f1_uncs.append(unc)
-        if not f1_vals or not f2_vals:
+                    eigen.append(entry)
+        if not eigen or not entangling:
             raise ConfigError("need at least one eigenbasis and one parity fixture")
-        F1, u1 = float(np.mean(f1_vals)), float(np.sqrt(np.sum(np.square(f1_uncs))) / len(f1_vals))
-        F2, u2 = float(np.mean(f2_vals)), float(np.sqrt(np.sum(np.square(f2_uncs))) / len(f2_vals))
+        # TruthTable checks every row's fidelity lies in [0, 1]
+        F1, u1 = TruthTable("eigenbasis", tuple(eigen)).average()
+        F2, u2 = TruthTable("entangling", tuple(entangling)).average()
         b = hofmann_bounds(F1, F2, u1, u2)
     except ValueError as e:  # a non-numeric cell or a fidelity outside [0, 1]; ConfigError too
         raise ConfigError(f"bad truth table: {e}") from e

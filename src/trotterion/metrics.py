@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 from scipy.linalg import sqrtm
 
-from .gates import GateOp, apply_gate, apply_sequence
+from .gates import GateOp, apply_gate, apply_sequence, sequence_unitary
 from .pauli import (
     DensityMatrix,
     DimensionError,
@@ -202,26 +202,18 @@ def simulate_qpt(program, shots: int | None = None, seed: int = 0) -> ProcessMat
     given), inverts linearly to the process, and projects the result
     onto the positive cone with trace renormalization.
     """
-    if isinstance(program, np.ndarray):
-        n = int(np.log2(program.shape[0]))
-        seq = None
-        U = program
-    else:
-        seq = program.sequence if hasattr(program, "sequence") else program
-        n = seq.n
-        U = None
-    if n > 2:
+    seq = getattr(program, "sequence", program)
+    n = int(np.log2(seq.shape[0])) if isinstance(seq, np.ndarray) else seq.n
+    if n > 2:  # checked before a sequence is multiplied out
         raise DimensionError("tomography supported for n <= 2")
+    U = seq if isinstance(seq, np.ndarray) else sequence_unitary(seq)
     d = 2**n
     rng = np.random.default_rng(seed)
     inputs = _tomography_inputs(n)
     in_mat = np.column_stack([_density(s).reshape(-1) for s in inputs])
     if np.linalg.matrix_rank(in_mat) < d * d:
         raise ValueError("input set is underdetermined")
-    outputs = []
-    for s in inputs:
-        out = StateVector(n, U @ s.amps) if U is not None else apply_sequence(s, seq)
-        outputs.append(_measured_density(out, rng, shots))
+    outputs = [_measured_density(StateVector(n, U @ s.amps), rng, shots) for s in inputs]
     out_mat = np.column_stack([o.reshape(-1) for o in outputs])
     transfer = out_mat @ np.linalg.inv(in_mat)
     # Choi matrix: sum_ij |i><j| (x) E(|i><j|)

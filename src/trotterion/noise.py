@@ -6,23 +6,25 @@ to sequence. Entangling and light-shift phases scale quadratically with
 the coupling, collective-rotation phases linearly, so one relative
 error epsilon perturbs a whole sequence coherently.
 
-Sampled ensembles share one draw contract. Shot k draws from its own
-stream ``default_rng(SeedSequence(seed, spawn_key=(k,)))``: first epsilon
-(sigma_rel times a normal, redrawn while epsilon <= -1), then one uniform
-per (checkpoint, observable) in row-major order; a uniform below the
-success probability of the shot's state is a hit.
+``sample_checkpoints`` draws every shot under one contract. Shot k draws
+from its own stream ``default_rng(SeedSequence(seed, spawn_key=(k,)))``:
+first epsilon (sigma_rel times a normal, redrawn while epsilon <= -1),
+then one uniform per (checkpoint, observable) in row-major order; a
+uniform below the success probability of the shot's state is a hit.
+``shot_states`` gives the perturbed states themselves, one column per
+epsilon, for averages without projective sampling.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import partial
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
-from .gates import GATE_KINDS, GateOp, GateSequence, _evolve, apply_sequence
-from .pauli import PauliString, StateVector, columnwise, expectation
+from .gates import GATE_KINDS, GateOp, GateSequence, _evolve
+from .pauli import StateVector
 
 _QUADRATIC_KINDS = ("O1", "O2", "O4")
 
@@ -33,34 +35,22 @@ class NoiseParams:
 
     sigma_rel: float = 0.0
     miscal: dict = field(default_factory=dict)
-    shots: int | None = None
+    shots: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.sigma_rel, Real) or self.sigma_rel < 0:
-            raise ValueError(f"sigma_rel must be a nonnegative number, got {self.sigma_rel!r}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        # the chained comparisons are False for NaN, so they reject it too
+        if not isinstance(self.sigma_rel, Real) or not 0 <= self.sigma_rel < math.inf:
+            raise ValueError(f"sigma_rel must be a finite nonnegative number, got {self.sigma_rel!r}")
+        if not isinstance(self.shots, Integral) or isinstance(self.shots, bool) or self.shots < 1:
+            raise ValueError(f"shots must be an integer >= 1, got {self.shots!r}")
         if not isinstance(self.miscal, dict):
             raise TypeError(f"miscal must map gate kinds to numbers, got {self.miscal!r}")
         for kind, err in self.miscal.items():
             if kind not in GATE_KINDS:
                 raise ValueError(f"unknown gate kind {kind!r}")
-            if not isinstance(err, Real) or abs(err) >= 0.1:
+            if not isinstance(err, Real) or not abs(err) < 0.1:
                 raise ValueError(f"miscalibration of {kind} must be a number below 10%, got {err!r}")
-
-
-@dataclass(frozen=True)
-class ShotEnsemble:
-    """Aggregated per-observable estimates over a noisy shot ensemble."""
-
-    shots: int
-    estimates: np.ndarray  # one value per observable
-    errors: np.ndarray  # binomial standard errors, 0 in analytic mode
-
-    def __post_init__(self):
-        object.__setattr__(self, "estimates", np.asarray(self.estimates, dtype=float))
-        object.__setattr__(self, "errors", np.asarray(self.errors, dtype=float))
 
 
 def _phase_scale(kind: str, eps: float) -> float:
@@ -96,17 +86,6 @@ def _miscalibrated(seq: GateSequence, params: NoiseParams) -> GateSequence:
     for kind, err in params.miscal.items():
         seq = apply_miscalibration(seq, kind, err)
     return seq
-
-
-def _outcome(obs):
-    """(batch value function, is_probability) of a Pauli string or probability callable.
-
-    The batch function maps amplitudes (2^n, k) to values (k,); ``obs``
-    itself takes one ``StateVector``.
-    """
-    if isinstance(obs, PauliString):
-        return columnwise(partial(expectation, p=obs)), False
-    return columnwise(obs), True
 
 
 def _draw_eps(rng, sigma: float) -> float:
@@ -157,50 +136,3 @@ def sample_checkpoints(seq: GateSequence, psi0: StateVector, outcomes, checkpoin
     p = np.array(hits) / params.shots
     err_p = np.sqrt(np.clip(p * (1 - p), 1e-12, None) / params.shots)
     return np.where(is_prob, p, 2 * p - 1), np.where(is_prob, err_p, 2 * err_p)
-
-
-def run_noisy_ensemble(
-    program,
-    psi0: StateVector,
-    observables,
-    params: NoiseParams,
-) -> ShotEnsemble:
-    """Monte-Carlo estimate of observables under per-sequence fluctuation.
-
-    Shot k draws from the substream (params.seed, k): its epsilon first,
-    then one uniform per observable, in order (the module's contract with
-    the end of the sequence as the only checkpoint). Each observable, a
-    Pauli string or a callable giving a success probability, contributes
-    one projective sample per shot. With shots=None the exact
-    expectations of the unperturbed (but miscalibrated) sequence are
-    returned.
-    """
-    seq = program.sequence if hasattr(program, "sequence") else program
-    outcomes = [_outcome(o) for o in observables]
-    if params.shots is None:
-        out = apply_sequence(psi0, _miscalibrated(seq, params))
-        vals = np.array([fn(out.amps[:, None])[0] for fn, _ in outcomes], dtype=float)
-        return ShotEnsemble(0, vals, np.zeros_like(vals))
-    est, err = sample_checkpoints(seq, psi0, outcomes, (len(seq),), params)
-    return ShotEnsemble(params.shots, est[-1], err[-1])
-
-
-def ensemble_mean_expectation(
-    program,
-    psi0: StateVector,
-    observable,
-    sigma_rel: float,
-    samples: int,
-    seed: int = 0,
-) -> float:
-    """Fluctuation-averaged exact expectation (no projective sampling).
-
-    Uses common random numbers: the epsilon draw for sample k is
-    sigma_rel times the k-th unit normal of the seed's stream, so sweeps
-    over sigma_rel are directly comparable.
-    """
-    z = np.random.default_rng(seed).standard_normal(samples)
-    seq = program.sequence if hasattr(program, "sequence") else program
-    (amps,) = shot_states(seq, psi0, np.maximum(sigma_rel * z, -1 + 1e-12), (len(seq),))
-    fn, _ = _outcome(observable)
-    return float(np.mean(fn(amps)))

@@ -111,8 +111,9 @@ def sparse_evolution(h: WeightedPauliSum, psi0: StateVector, thetas) -> np.ndarr
     np.random.seed(0)
     try:
         start = psi0.amps if thetas[0] == 0 else expm_multiply(thetas[0] * generator, psi0.amps)
-        if len(thetas) == 1:  # the interval mode needs two points
-            return start[:, None].copy()
+        # the interval mode needs two points, and fails on a subnormal span
+        if len(thetas) == 1 or abs(span) < np.finfo(float).tiny:
+            return np.repeat(start[:, None], len(thetas), axis=1)
         if span < 0:
             generator, span = -generator, -span
         amps = expm_multiply(generator, start, start=0.0, stop=span, num=len(thetas), endpoint=True)

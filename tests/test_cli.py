@@ -562,11 +562,17 @@ def test_programs_compile_through_the_module_names(monkeypatch, capsys):
     assert seen == ["compile_first_order", "compile_first_order", "compile_second_order", "compile_time_dependent"]
 
 
-def test_load_scenario_returns_frozen_spec():
+def test_load_scenario_returns_frozen_spec(tmp_path):
     sc = load_scenario("figs8")
     assert isinstance(sc, Scenario)
     assert (sc.name, sc.psi0.n, sc.sweep, sc.verify) == ("figs8", 2, None, None)
     assert (sc.noise.sigma_rel, sc.noise.shots, sc.noise.seed) == (0.02, 2000, 7)
+    # a noise block without shots takes NoiseParams' default
+    cfg = json.loads(bundled_scenarios()["figs8"].read_text())
+    del cfg["noise"]["shots"]
+    path = tmp_path / "no_shots.json"
+    path.write_text(json.dumps(cfg))
+    assert load_scenario(str(path)).noise.shots == 200
     assert [label for label, _, _ in sc.observables] == ["pop:z:uu", "pop:z:dd"]
     assert len(sc.program().checkpoints) == 24 and len(sc.program(steps=3).checkpoints) == 3
     with pytest.raises(FrozenInstanceError):
@@ -812,8 +818,9 @@ def test_bound_subcommand(capsys):
 
 @pytest.mark.parametrize(
     "eigen_table",
-    [None, "input,fidelity,fidelity_unc\nzz,high,0.01\n", "input,fidelity,fidelity_unc\nzz,1.5,0.01\n"],
-    ids=["directory", "non_numeric_cell", "fidelity_above_one"],
+    [None, "input,fidelity,fidelity_unc\nzz,high,0.01\n", "input,fidelity,fidelity_unc\nzz,1.5,0.01\n",
+     "input,fidelity,fidelity_unc\nzz,1.5,0.01\nzu,0.3,0.01\n"],
+    ids=["directory", "non_numeric_cell", "fidelity_above_one", "fidelity_above_one_in_a_valid_mean"],
 )
 def test_exit_code_bad_tables(tmp_path, capsys, eigen_table):
     eigen = tmp_path / "eigen.csv"

@@ -9,14 +9,8 @@ from trotterion.cli import parse_observable, run_scenario
 from trotterion.compiler import compile_first_order
 from trotterion.gates import GateOp, GateSequence, apply_sequence
 from trotterion.models import ising2
-from trotterion.noise import (
-    NoiseParams,
-    apply_miscalibration,
-    ensemble_mean_expectation,
-    perturb_sequence,
-    run_noisy_ensemble,
-)
-from trotterion.pauli import PauliString, StateVector, expectation
+from trotterion.noise import NoiseParams, apply_miscalibration, perturb_sequence, sample_checkpoints
+from trotterion.pauli import PauliString, StateVector, columnwise, expectation
 
 THETA_A = np.pi / (2 * np.sqrt(2))
 
@@ -60,6 +54,14 @@ def test_miscalibration_targets_one_kind():
         apply_miscalibration(prog, "O4", 0.2)
 
 
+def pop_up(state):
+    return float(abs(state.amps[0]) ** 2)
+
+
+def pauli_batch(p):
+    return columnwise(lambda s: expectation(s, p)), False
+
+
 def test_noise_params_validation():
     with pytest.raises(ValueError):
         NoiseParams(sigma_rel=-0.1)
@@ -69,16 +71,16 @@ def test_noise_params_validation():
         NoiseParams(miscal={"O9": 0.01})
     with pytest.raises(ValueError):
         NoiseParams(miscal={"O4": 0.5})
-
-
-def test_analytic_mode_matches_clean_run():
-    prog = small_program()
-    psi0 = StateVector.all_up(2)
-    zz = PauliString(2, "ZZ")
-    out = run_noisy_ensemble(prog, psi0, [zz], NoiseParams(sigma_rel=0.05, shots=None))
-    clean = expectation(apply_sequence(psi0, prog.sequence), zz)
-    assert out.estimates[0] == pytest.approx(clean)
-    assert out.errors[0] == 0.0
+    # a NaN width would make the sampler redraw epsilon forever
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseParams(sigma_rel=bad)
+    with pytest.raises(ValueError):
+        NoiseParams(miscal={"O4": float("nan")})
+    for bad in (True, 2.0, None):
+        with pytest.raises(ValueError):
+            NoiseParams(shots=bad)
+    assert NoiseParams().shots == 200
 
 
 def reference_shots(seq, psi0, outcomes, checkpoints, params):
@@ -113,17 +115,16 @@ def test_engine_matches_per_shot_reference(tmp_path):
     psi0 = StateVector.all_up(2)
     params = NoiseParams(sigma_rel=0.05, miscal={"O4": 0.02}, shots=60, seed=4)
 
-    def pop_up(state):
-        return float(abs(state.amps[0]) ** 2)
-
     zz = PauliString(2, "ZZ")
+    checkpoints = (len(prog.sequence),)
     est, err = reference_shots(
-        prog.sequence, psi0, [(lambda s: expectation(s, zz), False), (pop_up, True)],
-        (len(prog.sequence),), params,
+        prog.sequence, psi0, [(lambda s: expectation(s, zz), False), (pop_up, True)], checkpoints, params,
     )
-    ens = run_noisy_ensemble(prog, psi0, [zz, pop_up], params)
-    assert np.array_equal(ens.estimates, est[-1])
-    assert np.array_equal(ens.errors, err[-1])
+    got, got_err = sample_checkpoints(
+        prog.sequence, psi0, [pauli_batch(zz), (columnwise(pop_up), True)], checkpoints, params,
+    )
+    assert np.array_equal(got, est)
+    assert np.array_equal(got_err, err)
 
     # the CLI's noisy rows: every checkpoint, written at 9 significant digits
     specs = ["pauli:ZZ", "pop:z:uu"]
@@ -153,48 +154,23 @@ def test_engine_matches_per_shot_reference(tmp_path):
 def test_sampled_mode_is_deterministic_per_seed():
     prog = small_program()
     psi0 = StateVector.all_up(2)
-    obs = [PauliString(2, "ZI")]
-    a = run_noisy_ensemble(prog, psi0, obs, NoiseParams(0.02, shots=200, seed=5))
-    b = run_noisy_ensemble(prog, psi0, obs, NoiseParams(0.02, shots=200, seed=5))
-    c = run_noisy_ensemble(prog, psi0, obs, NoiseParams(0.02, shots=200, seed=6))
-    assert np.array_equal(a.estimates, b.estimates)
-    assert not np.array_equal(a.estimates, c.estimates)
+    outcomes = [pauli_batch(PauliString(2, "ZI"))]
+
+    def sample(seed):
+        est, _ = sample_checkpoints(prog.sequence, psi0, outcomes, prog.checkpoints, NoiseParams(0.02, seed=seed))
+        return est
+
+    assert np.array_equal(sample(5), sample(5))
+    assert not np.array_equal(sample(5), sample(6))
 
 
 def test_sampled_mode_converges_to_exact_at_zero_sigma():
     prog = small_program()
     psi0 = StateVector.all_up(2)
-
-    def pop_up(state):
-        return float(abs(state.amps[0]) ** 2)
-
-    exact = run_noisy_ensemble(prog, psi0, [pop_up], NoiseParams(0.0, shots=None))
-    sampled = run_noisy_ensemble(prog, psi0, [pop_up], NoiseParams(0.0, shots=4000, seed=1))
-    assert sampled.estimates[0] == pytest.approx(exact.estimates[0], abs=5 * sampled.errors[0])
-    assert 0 < sampled.errors[0] < 0.02
-
-
-def test_ensemble_mean_damps_oscillation():
-    # fluctuations wash out the coherent oscillation: larger sigma pulls
-    # the fluctuation-averaged population toward its mean
-    prog = compile_first_order(ising2(0.5, 1.0), 4 * THETA_A, 16)
-    psi0 = StateVector.all_up(2)
-
-    def pop_up(state):
-        return float(abs(state.amps[0]) ** 2)
-
-    clean = ensemble_mean_expectation(prog, psi0, pop_up, 0.0, 40, seed=2)
-    noisy = ensemble_mean_expectation(prog, psi0, pop_up, 0.05, 40, seed=2)
-    assert clean != pytest.approx(noisy, abs=1e-6)
-
-
-def test_common_random_numbers_are_shared():
-    prog = small_program()
-    psi0 = StateVector.all_up(2)
-
-    def pop_up(state):
-        return float(abs(state.amps[0]) ** 2)
-
-    a = ensemble_mean_expectation(prog, psi0, pop_up, 0.0, 30, seed=9)
-    b = ensemble_mean_expectation(prog, psi0, pop_up, 1e-9, 30, seed=9)
-    assert a == pytest.approx(b, abs=1e-6)
+    exact = pop_up(apply_sequence(psi0, prog.sequence))
+    (est,), (err,) = sample_checkpoints(
+        prog.sequence, psi0, [(columnwise(pop_up), True)], (len(prog.sequence),),
+        NoiseParams(0.0, shots=4000, seed=1),
+    )
+    assert est[0] == pytest.approx(exact, abs=5 * err[0])
+    assert 0 < err[0] < 0.02

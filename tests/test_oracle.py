@@ -251,6 +251,15 @@ def test_sparse_evolution_at_zero_is_the_initial_state():
     assert np.array_equal(sparse_evolution(model, psi0, np.linspace(0.0, 1.0, 3))[:, 0], psi0.amps)
 
 
+@pytest.mark.parametrize("span", [5e-324, -5e-324, 1e-323])
+def test_sparse_evolution_over_a_subnormal_span_is_the_initial_state(span):
+    # scipy's interval mode divides by zero on such spans
+    h = WeightedPauliSum(7, ((1.0, PauliString(7, "IIIIIIX")),))
+    psi0 = StateVector.all_up(7)
+    got = sparse_evolution(h, psi0, np.linspace(0.0, span, 5))
+    assert np.array_equal(got, np.repeat(psi0.amps[:, None], 5, axis=1))
+
+
 def test_sparse_evolution_rejects_a_nonuniform_grid():
     model, _ = long_range_ising(3, 0.5, 1.0)
     with pytest.raises(ValueError, match="uniform"):
