@@ -130,7 +130,8 @@ def process_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     for M in (U, V):
         if np.max(np.abs(M.conj().T @ M - np.eye(d))) > 1e-6:
             raise ValueError("input is not unitary")
-    return float(abs(np.trace(U.conj().T @ V)) ** 2 / d**2)
+    # Tr(U^dag V) is the elementwise sum conj(U) * V
+    return float(abs(np.vdot(U, V)) ** 2 / d**2)
 
 
 def chi_overlap(a: ProcessMatrix, b: ProcessMatrix) -> float:

@@ -7,7 +7,9 @@ all-down state is the paramagnetic ground state for B > 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,8 +27,15 @@ class CouplingGraph:
         J = np.asarray(self.J, dtype=float)
         if J.shape != (self.n, self.n):
             raise ValueError(f"coupling matrix shape {J.shape} != ({self.n},{self.n})")
-        if np.max(np.abs(J - J.T)) > 1e-12:
+        # one comparison: a NaN or infinite entry fails it as well
+        with np.errstate(invalid="ignore"):
+            symmetric = np.abs(J - J.T).max() <= 1e-12
+        if not symmetric:
+            if not np.isfinite(J).all():
+                raise ValueError("coupling matrix must be finite")
             raise ValueError("coupling matrix must be symmetric")
+        if not math.isfinite(self.phi):
+            raise ValueError("coupling axis phi must be finite")
         J = (J + J.T) / 2
         np.fill_diagonal(J, 0.0)
         J.setflags(write=False)
@@ -34,10 +43,11 @@ class CouplingGraph:
 
     def pairs(self):
         """Nonzero (i, j, J_ij) with i < j."""
+        rows = self.J.tolist()
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if self.J[i, j] != 0.0:
-                    yield i, j, float(self.J[i, j])
+                if rows[i][j] != 0.0:
+                    yield i, j, rows[i][j]
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,7 @@ def _field_terms(n: int, axis: str, strength: float):
         yield strength, PauliString(n, ops)
 
 
+@lru_cache(maxsize=1024)
 def _pair_term(n: int, i: int, j: int, letter: str) -> PauliString:
     ops = "".join(letter if k in (i, j) else "I" for k in range(n))
     return PauliString(n, ops)
@@ -131,7 +142,7 @@ def coupling_graph_model(graph: CouplingGraph, field: FieldSpec | None = None) -
     letter = "X" if abs(graph.phi) < 1e-12 else ("Y" if abs(graph.phi - np.pi / 2) < 1e-12 else None)
     if letter is None:
         raise ValueError("coupling graph models support axis phi in {0, pi/2} only")
-    terms = [( Jij, _pair_term(graph.n, i, j, letter)) for i, j, Jij in graph.pairs()]
+    terms = [(Jij, _pair_term(graph.n, i, j, letter)) for i, j, Jij in graph.pairs()]
     if field is not None and field.strength != 0.0:
         terms.extend(_field_terms(graph.n, field.axis, field.strength))
     return WeightedPauliSum.from_terms(graph.n, terms)

@@ -9,6 +9,7 @@ Conventions (fixed once, used everywhere):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,12 +83,12 @@ class WeightedPauliSum:
         for coeff, p in self.terms:
             if p.n != self.n:
                 raise DimensionError(f"term {p} has n={p.n}, expected {self.n}")
-            if not np.isfinite(coeff):
+            if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient {coeff} on {p}")
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "WeightedPauliSum":
-        return cls(n, tuple((float(c), p) for c, p in terms))
+        return cls(n, tuple([(float(c), p) for c, p in terms]))
 
     def __add__(self, other: "WeightedPauliSum") -> "WeightedPauliSum":
         if other.n != self.n:
@@ -190,8 +191,10 @@ def _apply_single_spin(amps: np.ndarray, n: int, j: int, mat: np.ndarray) -> np.
     # axes: index bits above j, bit j, bits below j, column
     a = amps.reshape(2 ** (n - 1 - j), 2, 2**j, amps.shape[1])
     x0, x1 = a[:, 0], a[:, 1]
-    rows = [mat[..., r, 0] * x0 + mat[..., r, 1] * x1 for r in (0, 1)]
-    return np.stack(rows, axis=1).reshape(amps.shape)
+    out = np.empty(a.shape, dtype=np.result_type(mat, amps))
+    for r in (0, 1):
+        out[:, r] = mat[..., r, 0] * x0 + mat[..., r, 1] * x1
+    return out.reshape(amps.shape)
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:

@@ -95,6 +95,9 @@ def test_gate_op_validation():
         GateOp("O1", 1.0)  # O1 needs a target
     with pytest.raises(ValueError):
         GateOp("O3", np.inf)
+    for phi in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="phi"):
+            GateOp("O4", 0.1, phi)
 
 
 def test_sequence_text_roundtrip():
@@ -123,6 +126,39 @@ def test_sequence_unitary_is_time_ordered_product():
     seq = GateSequence(2, (a, b))
     want = gate_unitary(b, 2) @ gate_unitary(a, 2)  # a acts first
     assert np.allclose(sequence_unitary(seq), want, atol=1e-12)
+
+
+@st.composite
+def programs(draw):
+    """A gate program with runs of diagonal gates at both ends, possibly empty."""
+    n = draw(st.integers(1, 7))
+    phis = st.one_of(st.just(0.0), st.just(np.pi / 2), st.floats(0, 2 * np.pi))
+
+    def gates(kinds, max_size):
+        out = []
+        for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_size)):
+            theta = draw(st.floats(-3.2, 3.2))
+            target = draw(st.integers(0, n - 1)) if kind == "O1" else None
+            out.append(GateOp(kind, theta, draw(phis), target))
+        return out
+
+    diagonal = ("O1", "O2")
+    body = gates(("O1", "O2", "O3", "O4"), 8)
+    return GateSequence(n, tuple(gates(diagonal, 3) + body + gates(diagonal, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(programs())
+def test_sequence_unitary_is_the_product_of_gate_kernels(seq):
+    want = np.eye(2**seq.n, dtype=complex)
+    for g in seq.gates:
+        want = _evolve(want, seq.n, g, g.theta)
+    assert np.allclose(sequence_unitary(seq), want, rtol=0, atol=1e-12)
+
+
+def test_empty_sequence_unitary_is_the_identity():
+    for n in range(1, 8):
+        assert np.array_equal(sequence_unitary(GateSequence(n)), np.eye(2**n))
 
 
 def test_o4_on_single_spin_is_identity():

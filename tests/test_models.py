@@ -44,6 +44,38 @@ def test_coupling_graph_validation():
     assert set(g.pairs()) == {(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)}
 
 
+@pytest.mark.parametrize(
+    "J, phi",
+    [
+        ([[0, np.nan, 1], [np.nan, 0, 1], [1, 1, 0]], 0.0),
+        ([[0, np.inf, 1], [np.inf, 0, 1], [1, 1, 0]], 0.0),
+        ([[0, -np.inf, 1], [-np.inf, 0, 1], [1, 1, 0]], 0.0),
+        ([[np.nan, 1, 1], [1, 0, 1], [1, 1, 0]], 0.0),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], np.nan),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], np.inf),
+    ],
+)
+def test_coupling_graph_rejects_non_finite_input(J, phi):
+    with pytest.raises(ValueError, match="finite"):
+        CouplingGraph(3, np.array(J, float), phi)
+
+
+def test_coupling_graph_model_terms_follow_the_coupling_matrix():
+    rng = np.random.default_rng(17)
+    for n, phi, letter in ((2, 0.0, "X"), (5, 0.0, "X"), (6, np.pi / 2, "Y")):
+        J = np.triu(rng.integers(-2, 4, (n, n)), 1).astype(float)
+        J = J + J.T
+        model = coupling_graph_model(CouplingGraph(n, J, phi), FieldSpec("x", 0.3))
+        want = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if J[i, j] != 0.0:
+                    want.append((float(J[i, j]), "".join(letter if k in (i, j) else "I" for k in range(n))))
+        want += [(0.3, "".join("X" if k == j else "I" for k in range(n))) for j in range(n)]
+        assert [(c, p.ops) for c, p in model.terms] == want
+        assert all(type(c) is float for c, _ in model.terms)
+
+
 def test_coupling_graph_model_matches_dense_sum():
     J = np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]], float)
     g = CouplingGraph(3, J, 0.0)
