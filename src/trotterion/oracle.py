@@ -10,16 +10,17 @@ in the bundled scenario CSVs (all at six spins or fewer), so applying the
 phases to ``V^dag psi`` instead, though cheaper, would change their bytes.
 
 Above ``DENSE_MAX_SPINS`` a dense propagator costs O(4^n) memory and
-O(8^n) time per phase. There ``sparse_evolution`` applies
-exp(-i theta H) to one state over a whole uniform theta grid with
-``scipy.sparse.linalg.expm_multiply`` on a CSR Hamiltonian (Al-Mohy and
-Higham, SIAM J. Sci. Comput. 33, 488, 2011), and no full matrix is formed.
-The cutoff sits at the measured crossover: on a 33-point grid of a
-long-range Ising model (best of 5, 2-vCPU Xeon VM), n=7 takes 14 ms dense
-against 21 ms sparse, and n=8 77 ms against 34 ms. Full propagators
-(``propagator``, process-fidelity checks) and spectra stay dense at every
-size. The two-spin ramp's slices are built, diagonalised and exponentiated
-as one (S, 4, 4) stack, then multiplied in order. ``Exact`` picks the route.
+O(8^n) time per phase. There ``sparse_evolution`` applies exp(-i theta H)
+to one state at every theta of any grid (unsorted, repeated or negative
+phases alike) with one Chebyshev series on a CSR Hamiltonian, and no full
+matrix is formed. The series needs only a bound on the spectrum: the
+identity terms' coefficients give its centre, the moduli of the other
+coefficients sum to its radius. Coefficients below ``CHEBYSHEV_TOL`` are
+set to 0, so theta = 0 returns the initial state bit for bit. Full
+propagators (``propagator``, process-fidelity checks) and spectra stay dense
+at every size. The two-spin ramp's slices are built, diagonalised and
+exponentiated as one (S, 4, 4) stack, then multiplied in order. ``Exact``
+picks the route and rejects a non-finite theta.
 """
 from __future__ import annotations
 
@@ -33,8 +34,17 @@ from .pauli import StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian
 
 DEGENERACY_TOL = 1e-9
 # Largest spin count whose exact curves come from a dense Spectrum; above
-# it they come from sparse_evolution.
-DENSE_MAX_SPINS = 7
+# it they come from sparse_evolution. Timed on a 33-point grid over [0, 2.3]
+# of long_range_ising(n, 0.5, 1) (best of 7, two runs, 2-vCPU Xeon VM):
+# n=6 takes 3.1-3.7 ms dense against 1.4-2.4 ms sparse, n=7 13.7-15.4 ms
+# against 2.3-3.7 ms, n=8 73-81 ms against 4.1-6.3 ms. The sparse route is
+# faster from n=6 on; the cutoff stays at 6 because the bundled scenarios'
+# CSV bytes, all at six spins or fewer, come from the dense route.
+DENSE_MAX_SPINS = 6
+# Chebyshev coefficients of sparse_evolution: parts below CHEBYSHEV_TOL are
+# set to 0; CHEBYSHEV_BLOCK (at least 3) vectors are summed per matrix product.
+CHEBYSHEV_TOL = 1e-15
+CHEBYSHEV_BLOCK = 32
 
 
 class DegenerateGroundState(ValueError):
@@ -90,36 +100,66 @@ def spectrum(h: WeightedPauliSum) -> Spectrum:
     return Spectrum(*np.linalg.eigh(m))
 
 
-def sparse_evolution(h: WeightedPauliSum, psi0: StateVector, thetas) -> np.ndarray:
-    """States exp(-i theta H) psi0 at every theta of a uniform grid, as columns (2^n, k).
+def _chebyshev_coefficients(a: np.ndarray) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(a) for k = 0, 1, ..., one column per entry of a.
 
-    One ``expm_multiply`` call covers the whole grid. scipy's interval mode
-    is only accurate on a grid that starts at 0 and rises, so the state is
-    first carried to ``thetas[0]`` and a falling grid runs under -H.
-    scipy's one-norm estimate draws from numpy's global random state, so
-    the calls run on a fixed seed and the caller's state is put back.
+    By the Jacobi-Anger expansion these are the cosine coefficients of
+    exp(-i a cos t), read off one FFT of it sampled at a power-of-two size of
+    at least 2K. K = |a| + 12 |a|^(1/3) + 20 terms carry every J_k above 1e-17,
+    so the aliased terms, of order K and higher, lie below that too.
     """
-    from scipy.sparse.linalg import expm_multiply
+    top = np.max(np.abs(a), initial=0.0)
+    terms = int(top + 12 * np.cbrt(top)) + 20
+    size = 1 << (2 * terms - 1).bit_length()
+    samples = np.exp(-1j * np.multiply.outer(np.cos(2 * np.pi / size * np.arange(size)), a))
+    c = np.fft.fft(samples, axis=0)[:terms] / size
+    c[1:] *= 2
+    return c
 
+
+def sparse_evolution(h: WeightedPauliSum, psi0: StateVector, thetas) -> np.ndarray:
+    """States exp(-i theta H) psi0 at every theta of any grid, as columns (2^n, k).
+
+    One Chebyshev series covers the whole grid (Tal-Ezer and Kosloff, J. Chem.
+    Phys. 81, 3967, 1984). The spectrum of H lies in shift +- radius, where
+    shift sums the identity terms' coefficients and radius the moduli of the
+    others', so with H~ = (H - shift) / radius,
+    exp(-i theta H) = exp(-i theta shift) sum_k (2 - delta_k0) (-i)^k
+    J_k(theta radius) T_k(H~). Real and imaginary parts of a coefficient below
+    ``CHEBYSHEV_TOL`` are set to exactly 0 and the series ends after the last
+    nonzero one, so at theta = 0, or over a subnormal span, it is psi0 bit for
+    bit. The recurrence T_{k+1} psi0 = 2 H~ T_k psi0 - T_{k-1} psi0 runs on the
+    CSR matrix of H - shift; every ``CHEBYSHEV_BLOCK`` vectors are added into
+    the result with one matrix product, and only that block is kept.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    span = thetas[-1] - thetas[0]
-    step = span / max(len(thetas) - 1, 1)
-    if np.max(np.abs(np.diff(thetas) - step), initial=0.0) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("sparse evolution needs a uniform theta grid")
-    generator = -1j * hamiltonian_sparse(h)
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        start = psi0.amps if thetas[0] == 0 else expm_multiply(thetas[0] * generator, psi0.amps)
-        # the interval mode needs two points, and fails on a subnormal span
-        if len(thetas) == 1 or abs(span) < np.finfo(float).tiny:
-            return np.repeat(start[:, None], len(thetas), axis=1)
-        if span < 0:
-            generator, span = -generator, -span
-        amps = expm_multiply(generator, start, start=0.0, stop=span, num=len(thetas), endpoint=True)
-    finally:
-        np.random.set_state(saved)
-    return np.ascontiguousarray(amps.T)  # the dense path's layout, so batch sums round alike
+    shift = sum(c for c, p in h.terms if p.is_identity)
+    rest = tuple((c, p) for c, p in h.terms if not p.is_identity)
+    radius = sum(abs(c) for c, _ in rest)
+    coeffs = _chebyshev_coefficients(thetas * radius) * np.exp(-1j * shift * thetas)
+    coeffs.real[np.abs(coeffs.real) < CHEBYSHEV_TOL] = 0.0
+    coeffs.imag[np.abs(coeffs.imag) < CHEBYSHEV_TOL] = 0.0
+    coeffs = coeffs[: 1 + max(np.flatnonzero(coeffs.any(axis=1)), default=0)]
+    terms = len(coeffs)
+    if terms > 1:
+        twice = hamiltonian_sparse(WeightedPauliSum(h.n, rest))  # 2 H~
+        twice.data *= 2.0 / radius
+    # a ring of CHEBYSHEV_BLOCK >= 3 slots: T_k goes to slot k % block and
+    # reads T_{k-1}, T_{k-2} from the two slots before it
+    block = min(CHEBYSHEV_BLOCK, terms)
+    basis = np.empty((block, len(psi0.amps)), dtype=complex)
+    out = np.zeros((len(psi0.amps), len(thetas)), dtype=complex)
+    for k in range(terms):
+        slot = k % block
+        if k == 0:
+            basis[0] = psi0.amps
+        elif k == 1:
+            np.multiply(twice @ psi0.amps, 0.5, out=basis[1])
+        else:
+            np.subtract(twice @ basis[(k - 1) % block], basis[(k - 2) % block], out=basis[slot])
+        if slot == block - 1 or k == terms - 1:
+            out += basis[: slot + 1].T @ coeffs[k - slot : k + 1]
+    return out
 
 
 def level_populations(psi0: StateVector, spec: Spectrum) -> np.ndarray:
@@ -216,6 +256,8 @@ class Exact:
 
     def states(self, psi0: StateVector, thetas) -> np.ndarray:
         """exp(-i theta H) psi0, or the ramp's ordered evolution, as columns (2^n, k)."""
+        if not np.isfinite(np.asarray(thetas, dtype=float)).all():
+            raise ValueError("theta grid must be finite")
         if isinstance(self.model, RampSpec):
             return ramp_evolution(self.model, psi0, thetas)
         if self.model.n > DENSE_MAX_SPINS:

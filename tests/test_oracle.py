@@ -1,10 +1,15 @@
 """Exact-propagation oracle tests."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import trotterion
 from trotterion.models import (
     CouplingGraph,
     _ising2_terms,
@@ -223,29 +228,39 @@ def oracle_models(draw):
     return many_body_model(PauliString.from_string(ops), draw(strength), field)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    oracle_models(),
-    st.sampled_from([0.0, 0.0, 0.4, 2.5]),
-    st.floats(-1.0, 3.0, allow_nan=False),
-    st.sampled_from([1, 2, 5, 33]),
-    st.integers(0, 1000),
-)
-def test_sparse_evolution_matches_dense_propagators(h, theta_min, span, points, seed):
+@st.composite
+def theta_grids(draw):
+    """Uniform grids (from linspace) and free ones: unsorted, repeated, negative."""
+    if draw(st.booleans()):
+        theta_min = draw(st.sampled_from([0.0, 0.0, 0.4, 2.5]))
+        span = draw(st.floats(-1.0, 3.0, allow_nan=False))
+        return np.linspace(theta_min, theta_min + span, draw(st.sampled_from([1, 2, 5, 33])))
+    return np.array(draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=12)))
+
+
+def _random_state(n, seed):
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2**h.n) + 1j * rng.normal(size=2**h.n)
-    psi0 = StateVector(h.n, amps / np.linalg.norm(amps))
-    thetas = np.linspace(theta_min, theta_min + span, points)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def _dense_states(h, psi0, thetas):
     spec = spectrum(h)
     v = spec.eigenvectors  # V exp(-i theta w) V^dag psi0, O(d^2) per theta
-    want = v @ (np.exp(-1j * np.outer(spec.eigenvalues, thetas)) * (v.conj().T @ psi0.amps)[:, None])
+    return v @ (np.exp(-1j * np.outer(spec.eigenvalues, thetas)) * (v.conj().T @ psi0.amps)[:, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_models(), theta_grids(), st.integers(0, 1000))
+def test_sparse_evolution_matches_dense_propagators(h, thetas, seed):
+    psi0 = _random_state(h.n, seed)
     got = sparse_evolution(h, psi0, thetas)
-    assert got.shape == (2**h.n, points)
-    assert np.max(np.abs(got - want)) <= 1e-10
+    assert got.shape == (2**h.n, len(thetas))
+    assert np.max(np.abs(got - _dense_states(h, psi0, thetas))) <= 1e-10
 
 
 def test_sparse_evolution_at_zero_is_the_initial_state():
-    model, _ = long_range_ising(DENSE_MAX_SPINS + 1, 0.5, 1.0)
+    model, _ = long_range_ising(8, 0.5, 1.0)
     psi0 = StateVector.from_label("ud" * 4)
     assert np.array_equal(sparse_evolution(model, psi0, [0.0])[:, 0], psi0.amps)
     assert np.array_equal(sparse_evolution(model, psi0, np.linspace(0.0, 1.0, 3))[:, 0], psi0.amps)
@@ -260,10 +275,62 @@ def test_sparse_evolution_over_a_subnormal_span_is_the_initial_state(span):
     assert np.array_equal(got, np.repeat(psi0.amps[:, None], 5, axis=1))
 
 
-def test_sparse_evolution_rejects_a_nonuniform_grid():
-    model, _ = long_range_ising(3, 0.5, 1.0)
-    with pytest.raises(ValueError, match="uniform"):
-        sparse_evolution(model, StateVector.all_up(3), [0.0, 0.1, 0.3])
+def _assert_dense_and_unitary(h, psi0, thetas):
+    got = sparse_evolution(h, psi0, thetas)
+    want = np.stack([propagator(h, th) @ psi0.amps for th in thetas], axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1.0)) <= 1e-12
+    return got
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize(
+    "thetas",
+    [[0.0, 0.1, 0.3, 1.7, 1.75, 4.0], [2.5, 1.0, 0.4, 0.0, -0.2], [-3.0, -0.01, -1.2], [0.9, -0.9, 0.9, 0.0]],
+    ids=["nonuniform", "descending", "negative", "unsorted"],
+)
+def test_sparse_evolution_on_any_grid_matches_dense_propagator_columns(n, thetas):
+    model, _ = long_range_ising(n, 0.5, 1.0)
+    _assert_dense_and_unitary(model, _random_state(n, n), thetas)
+
+
+def test_sparse_evolution_at_the_edge_of_the_spectral_bound():
+    # sum_j Z_j has radius n, and the all-up state sits on the top eigenvalue n
+    n = 6
+    h = WeightedPauliSum.from_terms(n, [(1.0, PauliString(n, "I" * j + "Z" + "I" * (n - 1 - j))) for j in range(n)])
+    psi0 = StateVector.all_up(n)
+    thetas = np.linspace(0.0, 50.0, 21)
+    got = _assert_dense_and_unitary(h, psi0, thetas)
+    assert np.max(np.abs(got - np.exp(-1j * n * thetas) * psi0.amps[:, None])) <= 1e-10
+
+
+def test_sparse_evolution_of_an_identity_only_sum_is_its_phase():
+    # radius 0: the series is its first term, exp(-i theta shift) psi0
+    n = 4
+    h = WeightedPauliSum.from_terms(n, [(1.5, PauliString(n, "IIII")), (-0.25, PauliString(n, "IIII"))])
+    psi0 = _random_state(n, 1)
+    thetas = np.array([0.0, 0.3, -2.0, 40.0])
+    got = _assert_dense_and_unitary(h, psi0, thetas)
+    assert np.array_equal(got[:, 0], psi0.amps)
+    assert np.max(np.abs(got - np.exp(-1.25j * thetas) * psi0.amps[:, None])) <= 1e-12
+
+
+def test_sparse_evolution_takes_an_identity_term_as_the_shift():
+    n = 5
+    model, _ = long_range_ising(n, 0.5, 1.0)
+    shifted = model + WeightedPauliSum.from_terms(n, [(3.0, PauliString(n, "I" * n))])
+    psi0 = _random_state(n, 2)
+    thetas = np.linspace(-1.0, 3.0, 9)
+    got = _assert_dense_and_unitary(shifted, psi0, thetas)
+    assert np.max(np.abs(got - np.exp(-3j * thetas) * sparse_evolution(model, psi0, thetas))) <= 1e-10
+
+
+def test_sparse_evolution_over_a_long_phase():
+    model, _ = long_range_ising(8, 0.5, 1.0)
+    radius = sum(abs(c) for c, _ in model.terms)  # 8 * 0.5 + 28 = 32
+    thetas = np.array([0.5, 31.25, 40.0, -35.0])
+    assert np.max(np.abs(thetas)) * radius >= 1000
+    _assert_dense_and_unitary(model, _random_state(8, 3), thetas)
 
 
 def test_sparse_evolution_leaves_the_global_rng_alone():
@@ -305,3 +372,28 @@ def test_exact_routes_by_spin_count(n):
     want = np.stack([propagator(model, th) @ psi0.amps for th in thetas], axis=1)
     assert np.max(np.abs(got - want)) <= 1e-10
     assert np.array_equal(exact.propagator(0.7), propagator(model, 0.7))
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["dense", "sparse", "ramp"])
+def test_exact_states_rejects_a_non_finite_theta(route, theta):
+    n = {"dense": DENSE_MAX_SPINS, "sparse": DENSE_MAX_SPINS + 1, "ramp": 2}[route]
+    model = FIG1B_RAMP if route == "ramp" else long_range_ising(n, 0.5, 1.0)[0]
+    with pytest.raises(ValueError, match="theta grid must be finite"):
+        Exact(model).states(StateVector.all_up(n), [0.0, theta, 1.0])
+
+
+def test_sparse_route_loads_neither_sparse_linalg_nor_special():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trotterion.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys, numpy as np\n"
+        "from trotterion.models import long_range_ising\n"
+        "from trotterion.oracle import Exact\n"
+        "from trotterion.pauli import StateVector\n"
+        "Exact(long_range_ising(9, 0.5, 1.0)[0]).states(StateVector.all_up(9), np.linspace(0.0, 2.3, 33))\n"
+        "print(sorted({'scipy.sparse.linalg', 'scipy.special'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.split() == ["[]"]
