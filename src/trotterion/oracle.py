@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .models import RampSpec, _ising2_terms, ising2
-from .pauli import StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian_matrix, hamiltonian_sparse
+from .pauli import DimensionError, StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian_matrix, hamiltonian_sparse
 
 DEGENERACY_TOL = 1e-9
 # Largest spin count whose exact curves come from a dense Spectrum; above
@@ -256,13 +256,20 @@ class Exact:
 
     def states(self, psi0: StateVector, thetas) -> np.ndarray:
         """exp(-i theta H) psi0, or the ramp's ordered evolution, as columns (2^n, k)."""
-        if not np.isfinite(np.asarray(thetas, dtype=float)).all():
+        thetas = np.asarray(thetas, dtype=float)
+        if not np.isfinite(thetas).all():
             raise ValueError("theta grid must be finite")
+        n = 2 if isinstance(self.model, RampSpec) else self.model.n
+        if psi0.n != n:
+            raise DimensionError(f"{psi0.n}-spin state for a {n}-spin model")
         if isinstance(self.model, RampSpec):
             return ramp_evolution(self.model, psi0, thetas)
-        if self.model.n > DENSE_MAX_SPINS:
+        if n > DENSE_MAX_SPINS:
             return sparse_evolution(self.model, psi0, thetas)
-        return np.stack([self.spectrum.propagator(th) @ psi0.amps for th in thetas], axis=1)
+        out = np.empty((len(psi0.amps), len(thetas)), dtype=complex)
+        for k, th in enumerate(thetas):
+            out[:, k] = self.spectrum.propagator(th) @ psi0.amps
+        return out
 
     def propagator(self, theta: float) -> np.ndarray:
         """The full 2^n x 2^n propagator from 0 to theta."""

@@ -182,12 +182,12 @@ def _apply_single_spin(amps: np.ndarray, n: int, j: int, mat: np.ndarray) -> np.
     shape (k, 2, 2) with one matrix per column.
     """
     if amps.ndim == 1:
-        # Fortran-order reshape makes axis j correspond to bit j of the
-        # little-endian index; this one matrix product fixes the rounding
-        # that the statevector results (and the bundled CSVs) carry
-        a = np.moveaxis(amps.reshape([2] * n, order="F"), j, 0)
-        a = np.tensordot(mat, a, axes=([1], [0]))
-        return np.moveaxis(a, 0, j).reshape(amps.shape, order="F")
+        # rows: bit j of the index; columns: the other bits. This one BLAS
+        # product fixes the rounding the statevector results (and the bundled
+        # CSVs) carry; the column order does not change any element's bits
+        pairs = amps.reshape(-1, 2, 2**j).transpose(1, 0, 2)
+        out = np.dot(mat, pairs.reshape(2, -1)).reshape(pairs.shape)
+        return out.transpose(1, 0, 2).reshape(amps.shape)
     # axes: index bits above j, bit j, bits below j, column
     a = amps.reshape(2 ** (n - 1 - j), 2, 2**j, amps.shape[1])
     x0, x1 = a[:, 0], a[:, 1]

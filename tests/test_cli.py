@@ -172,6 +172,18 @@ def test_bundled_outputs_byte_identical(tmp_path):
             assert hashlib.sha256(f.read()).hexdigest() == want, name
 
 
+def test_fig2_ising_runs_without_numpy_axis_helpers(tmp_path, monkeypatch):
+    # every rotation and pauli: value goes through _apply_single_spin, whose
+    # vector path is one np.dot on a two-row view
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.tensordot/np.moveaxis called on the statevector path")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(np, "moveaxis", refuse)
+    with open(run_scenario("fig2_ising", str(tmp_path)), "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == BUNDLED_SHA256["fig2_ising"]
+
+
 def test_bundled_programs_identical(capsys):
     assert set(BUNDLED_COMPILE_SHA256) == EXPECTED_SCENARIOS
     for name, want in BUNDLED_COMPILE_SHA256.items():

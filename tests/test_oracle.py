@@ -33,7 +33,7 @@ from trotterion.oracle import (
     spectrum,
     time_ordered_propagator,
 )
-from trotterion.pauli import PauliString, StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian_matrix
+from trotterion.pauli import DimensionError, PauliString, StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian_matrix
 
 
 def test_propagator_matches_expm():
@@ -374,13 +374,39 @@ def test_exact_routes_by_spin_count(n):
     assert np.array_equal(exact.propagator(0.7), propagator(model, 0.7))
 
 
-@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("route", ["dense", "sparse", "ramp"])
-def test_exact_states_rejects_a_non_finite_theta(route, theta):
+def route_model(route: str):
+    """A model that ``Exact.states`` sends down the named route, and its spin count."""
     n = {"dense": DENSE_MAX_SPINS, "sparse": DENSE_MAX_SPINS + 1, "ramp": 2}[route]
-    model = FIG1B_RAMP if route == "ramp" else long_range_ising(n, 0.5, 1.0)[0]
+    return (FIG1B_RAMP if route == "ramp" else long_range_ising(n, 0.5, 1.0)[0]), n
+
+
+EXACT_ROUTES = pytest.mark.parametrize("route", ["dense", "sparse", "ramp"])
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@EXACT_ROUTES
+def test_exact_states_rejects_a_non_finite_theta(route, theta):
+    model, n = route_model(route)
     with pytest.raises(ValueError, match="theta grid must be finite"):
         Exact(model).states(StateVector.all_up(n), [0.0, theta, 1.0])
+
+
+@EXACT_ROUTES
+def test_exact_states_on_an_empty_grid_is_empty(route):
+    model, n = route_model(route)
+    out = Exact(model).states(StateVector.all_up(n), [])
+    assert out.shape == (2**n, 0) and out.dtype == complex
+
+
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 0.5, 1.0]])
+@pytest.mark.parametrize("offset", [-1, 1])
+@EXACT_ROUTES
+def test_exact_states_rejects_a_state_of_another_size(route, offset, grid):
+    model, n = route_model(route)
+    exact = Exact(model)
+    with pytest.raises(DimensionError, match=f"{n + offset}-spin state for a {n}-spin model"):
+        exact.states(StateVector.all_up(n + offset), grid)
+    assert "spectrum" not in vars(exact)  # refused before any work
 
 
 def test_sparse_route_loads_neither_sparse_linalg_nor_special():

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trotterion.gates import _phi_basis_change
 from trotterion.pauli import (
     MAX_SPINS,
     DimensionError,
     PauliString,
     StateVector,
     WeightedPauliSum,
+    _PAULI_MATS,
+    _apply_single_spin,
     apply_pauli,
     expectation,
     hamiltonian_matrix,
@@ -73,6 +76,41 @@ def test_expectation_matches_dense_oracle(p, seed):
     psi = random_state(p.n, seed)
     want = np.vdot(psi.amps, dense_pauli(p) @ psi.amps).real
     assert expectation(psi, p) == pytest.approx(want, abs=1e-12)
+
+
+def tensordot_reference(amps, n, j, mat):
+    """The earlier vector path of ``_apply_single_spin``, whose rounding the bundled CSVs carry."""
+    a = np.moveaxis(amps.reshape([2] * n, order="F"), j, 0)
+    a = np.tensordot(mat, a, axes=([1], [0]))
+    return np.moveaxis(a, 0, j).reshape(amps.shape, order="F")
+
+
+def single_spin_matrix(kind: str, rng) -> np.ndarray:
+    """A 2x2 matrix as the engine passes it: random, a Pauli, or an O3/O4 rotation."""
+    if kind in _PAULI_MATS:
+        return _PAULI_MATS[kind]
+    if kind == "random":
+        return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    phi = rng.uniform(-2 * np.pi, 2 * np.pi)
+    if kind == "O3":  # c I - i s sigma_phi, built as gates._evolve builds it
+        theta = np.asarray(rng.uniform(-2 * np.pi, 2 * np.pi))
+        sig = np.array([[0, np.exp(-1j * phi)], [np.exp(1j * phi), 0]], dtype=complex)
+        c, s = np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
+        return c * np.eye(2) - 1j * s * sig
+    v = _phi_basis_change(phi)
+    return v.conj().T if kind == "O4 adjoint" else v
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["random", "I", "X", "Y", "Z", "O3", "O4", "O4 adjoint"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_single_spin_vector_path_equals_tensordot_bit_for_bit(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    mat = single_spin_matrix(kind, rng)
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    for j in range(n):
+        assert np.array_equal(_apply_single_spin(amps, n, j, mat), tensordot_reference(amps, n, j, mat))
 
 
 def test_state_labels_little_endian():
