@@ -24,7 +24,6 @@ from .gates import (
     GateSequence,
     apply_gate,
     apply_sequence,
-    gate_unitary,
     sequence_stats,
     sequence_unitary,
 )
@@ -34,16 +33,11 @@ from .metrics import (
     ProcessMatrix,
     TruthTable,
     chi_overlap,
-    complementary_check,
-    decoherence_group_analysis,
     ghz_fidelity,
-    ghz_record_from_state,
     hofmann_bounds,
     process_fidelity,
     simulate_qpt,
-    state_fidelity,
     tangle2,
-    truth_table,
     unitary_chi,
 )
 from .models import (
@@ -65,9 +59,7 @@ from .noise import (
     shot_states,
 )
 from .oracle import (
-    DegenerateGroundState,
     Spectrum,
-    instantaneous_ground_state,
     level_populations,
     propagator,
     ramp_evolution,

@@ -35,7 +35,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .pauli import DimensionError, StateVector, _apply_single_spin, _check_n, _popcounts
+from .pauli import DimensionError, StateVector, _apply_single_spin, _popcounts
 
 GATE_KINDS = ("O1", "O2", "O3", "O4")
 
@@ -69,18 +69,6 @@ class GateOp:
             parts.append(f"target={self.target}")
         return " ".join(parts)
 
-    @classmethod
-    def from_line(cls, line: str) -> "GateOp":
-        tokens = line.split()
-        kind = tokens[0]
-        kw = dict(t.split("=", 1) for t in tokens[1:])
-        return cls(
-            kind,
-            float(kw["theta"]),
-            float(kw.get("phi", 0.0)),
-            int(kw["target"]) if "target" in kw else None,
-        )
-
 
 @dataclass(frozen=True)
 class GateSequence:
@@ -99,13 +87,6 @@ class GateSequence:
 
     def to_text(self) -> str:
         return "\n".join(g.to_line() for g in self.gates)
-
-    @classmethod
-    def from_text(cls, n: int, text: str) -> "GateSequence":
-        gates = tuple(
-            GateOp.from_line(line) for line in text.splitlines() if line.strip()
-        )
-        return cls(n, gates)
 
 
 @dataclass(frozen=True)
@@ -209,12 +190,6 @@ def apply_sequence(state: StateVector, seq: GateSequence) -> StateVector:
     for g in seq.gates:
         state = apply_gate(state, g)
     return state
-
-
-def gate_unitary(g: GateOp, n: int) -> np.ndarray:
-    """Dense unitary of a single gate on n spins."""
-    _check_n(n)
-    return _evolve(np.eye(2**n, dtype=complex), n, g, g.theta)
 
 
 @lru_cache(maxsize=64)

@@ -1,4 +1,4 @@
-"""Fidelities, entanglement, process tomography, and truth-table bounds.
+"""Fidelities, entanglement, process tomography, Hofmann bounds and GHZ fidelity.
 
 Process matrices live in the n-spin Pauli operator basis ordered
 I, X, Y, Z per spin with the first spin's letter varying slowest
@@ -10,11 +10,9 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import sqrtm
 
-from .gates import GateOp, apply_gate, apply_sequence, sequence_unitary
+from .gates import sequence_unitary
 from .pauli import (
-    DensityMatrix,
     DimensionError,
     PauliString,
     StateVector,
@@ -99,26 +97,8 @@ class GhzMeasurementRecord:
             raise ValueError("signs must be +1 or -1")
 
 
-def _density(state) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return np.outer(state.amps, state.amps.conj())
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return np.asarray(state, dtype=complex)
-
-
-def state_fidelity(a, b) -> float:
-    """Uhlmann fidelity; reduces to |<a|b>|^2 for pure states."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        if a.n != b.n:
-            raise DimensionError("states have different spin counts")
-        return float(abs(a.overlap(b)) ** 2)
-    ra, rb = _density(a), _density(b)
-    if ra.shape != rb.shape:
-        raise DimensionError("density matrices have different dimensions")
-    s = sqrtm(ra)
-    val = np.trace(sqrtm(s @ rb @ s)).real
-    return float(np.clip(val**2, 0.0, 1.0))
+def _density(state: StateVector) -> np.ndarray:
+    return np.outer(state.amps, state.amps.conj())
 
 
 def process_fidelity(U: np.ndarray, V: np.ndarray) -> float:
@@ -241,43 +221,7 @@ def simulate_qpt(program, shots: int | None = None, seed: int = 0) -> ProcessMat
     return ProcessMatrix(n, chi)
 
 
-# -- complementary truth tables ---------------------------------------------
-
-
-def complementary_check(set_a, set_b, tol: float = 1e-9) -> bool:
-    """True iff every cross overlap |<a|b>|^2 equals 1/N."""
-    if len(set_a) != len(set_b):
-        return False
-    N = len(set_a)
-    for a in set_a:
-        for b in set_b:
-            if abs(abs(a.overlap(b)) ** 2 - 1.0 / N) > tol:
-                return False
-    return True
-
-
-def truth_table(
-    program,
-    basis,
-    reference: np.ndarray,
-    label: str = "",
-    shots: int | None = None,
-    seed: int = 0,
-) -> TruthTable:
-    """Overlap of program outputs with the reference-unitary outputs."""
-    seq = program.sequence if hasattr(program, "sequence") else program
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i, psi in enumerate(basis):
-        out = apply_sequence(psi, seq)
-        target = StateVector(psi.n, reference @ psi.amps)
-        fid = abs(target.overlap(out)) ** 2
-        unc = 0.0
-        if shots is not None:
-            fid = rng.binomial(shots, fid) / shots
-            unc = float(np.sqrt(max(fid * (1 - fid), 1e-12) / shots))
-        rows.append((i, float(fid), unc))
-    return TruthTable(label, tuple(rows))
+# -- process-fidelity bounds from two truth tables ---------------------------
 
 
 def hofmann_bounds(F1: float, F2: float, u1: float = 0.0, u2: float = 0.0) -> FidelityBound:
@@ -299,52 +243,3 @@ def ghz_fidelity(record: GhzMeasurementRecord) -> float:
     c, s = np.cos(record.theta), np.sin(record.theta)
     coherence = sum(a * q for a, q in zip(record.signs, record.parities)) / n
     return float(c**2 * record.pop_low + s**2 * record.pop_high + c * s * coherence)
-
-
-def ghz_parity_observable(state: StateVector, phi: float) -> float:
-    """<Z...Z> after the collective analysis rotation O3(pi/4, phi)."""
-    rotated = apply_gate(state, GateOp("O3", np.pi / 4, phi))
-    return expectation(rotated, PauliString(state.n, "Z" * state.n))
-
-
-def ghz_record_from_state(
-    state: StateVector, theta: float, phase_offset: float = -np.pi / 2
-) -> GhzMeasurementRecord:
-    """Measure the populations and the n equally spaced parities of a state.
-
-    Analysis phases are spaced by pi/n and the sign tags alternate
-    starting from +1. For the real-coefficient target
-    cos(theta)|0..0> + sin(theta)|1..1> the parity oscillates as
-    2 cos(theta) sin(theta) cos(n phi + n pi/2), so the default offset
-    -pi/2 places the analysis phases on its extrema.
-    """
-    n = state.n
-    probs = state.probabilities()
-    phis = [i * np.pi / n + phase_offset for i in range(n)]
-    signs = tuple((-1) ** i for i in range(n))
-    parities = tuple(ghz_parity_observable(state, phi) for phi in phis)
-    return GhzMeasurementRecord(theta, float(probs[0]), float(probs[-1]), parities, signs)
-
-
-def decoherence_group_analysis(rows) -> dict:
-    """Group parity-table rows by the input's |#0 - #1| imbalance.
-
-    Each row is (label, parities, populations); labels are bit strings.
-    Returns per-group mean absolute parity and mean total population.
-    """
-    groups = {}
-    for label, parities, populations in rows:
-        bits = [c for c in label if c in "01"]
-        if not bits:
-            raise ValueError(f"row label {label!r} is not a bit string")
-        key = abs(bits.count("0") - bits.count("1"))
-        entry = groups.setdefault(key, [])
-        entry.append((np.mean(np.abs(parities)), np.sum(populations)))
-    return {
-        key: {
-            "parity": float(np.mean([p for p, _ in vals])),
-            "population": float(np.mean([q for _, q in vals])),
-            "count": len(vals),
-        }
-        for key, vals in sorted(groups.items())
-    }

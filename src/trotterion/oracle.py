@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import RampSpec, _ising2_terms, ising2
+from .models import RampSpec, _ising2_terms
 from .pauli import DimensionError, StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian_matrix, hamiltonian_sparse
 
 DEGENERACY_TOL = 1e-9
@@ -45,10 +45,6 @@ DENSE_MAX_SPINS = 6
 # set to 0; CHEBYSHEV_BLOCK (at least 3) vectors are summed per matrix product.
 CHEBYSHEV_TOL = 1e-15
 CHEBYSHEV_BLOCK = 32
-
-
-class DegenerateGroundState(ValueError):
-    """The ground level is degenerate; no unique ground state exists."""
 
 
 @dataclass(frozen=True)
@@ -168,23 +164,6 @@ def level_populations(psi0: StateVector, spec: Spectrum) -> np.ndarray:
         raise ValueError("state dimension does not match spectrum")
     overlaps = np.abs(spec.eigenvectors.conj().T @ psi0.amps) ** 2
     return np.array([overlaps[sl].sum() for _, sl in spec.levels])
-
-
-def instantaneous_ground_state(h) -> StateVector:
-    """Lowest eigenvector, phase-fixed so its largest amplitude is real positive."""
-    spec = spectrum(h)
-    _, sl = spec.levels[0]
-    if sl.stop - sl.start > 1:
-        raise DegenerateGroundState("ground level is degenerate")
-    vec = spec.eigenvectors[:, sl.start]
-    k = int(np.argmax(np.abs(vec)))
-    vec = vec * np.exp(-1j * np.angle(vec[k]))
-    n = int(np.log2(len(vec)))
-    return StateVector(n, vec)
-
-
-def ramp_hamiltonian(ramp: RampSpec, theta: float) -> WeightedPauliSum:
-    return ising2(ramp.B, ramp.J_at(theta))
 
 
 def _ramp_steps(ramp: RampSpec, edges: np.ndarray, slices: np.ndarray) -> np.ndarray:

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# imported with the package, not on the first CSR build, so that the first
+# evolution above six spins in a process does not pay for it
+from scipy.sparse import csr_matrix
 
 MAX_SPINS = 12
 
@@ -56,9 +59,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return set(self.ops) <= {"I"}
-
-    def weight(self) -> int:
-        return sum(1 for c in self.ops if c != "I")
 
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, little-endian spin order."""
@@ -139,9 +139,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amps.copy())
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
@@ -149,30 +146,6 @@ class StateVector:
         if other.n != self.n:
             raise DimensionError("overlap between different spin counts")
         return complex(np.vdot(self.amps, other.amps))
-
-
-@dataclass
-class DensityMatrix:
-    """Mixed state of n spins; Hermitian, unit trace, positive semidefinite."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        _check_n(self.n)
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = 2**self.n
-        if self.matrix.shape != (d, d):
-            raise DimensionError(f"density matrix shape {self.matrix.shape} != ({d},{d})")
-
-    def validate(self, tol: float = 1e-10) -> None:
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > tol:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > tol:
-            raise ValueError(f"trace {np.trace(m)} != 1")
-        if np.linalg.eigvalsh(m).min() < -1e-8:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
 def _apply_single_spin(amps: np.ndarray, n: int, j: int, mat: np.ndarray) -> np.ndarray:
@@ -293,8 +266,6 @@ def _stacked_matrices(n: int, terms) -> np.ndarray:
 
 def hamiltonian_sparse(h: WeightedPauliSum):
     """The matrix of ``hamiltonian_matrix`` in CSR form, built without a dense copy."""
-    from scipy.sparse import csr_matrix
-
     d = 2**h.n
     cols = np.arange(d)
     by_flip = _elements_by_flip(h.n, h.terms)

@@ -12,7 +12,6 @@ from trotterion.gates import (
     _evolve,
     apply_gate,
     apply_sequence,
-    gate_unitary,
     sequence_stats,
     sequence_unitary,
 )
@@ -65,7 +64,7 @@ def gate_ops(draw):
 @given(gate_ops())
 def test_gate_unitary_matches_expm_oracle(case):
     n, g = case
-    assert np.allclose(gate_unitary(g, n), oracle_unitary(g, n), atol=1e-10)
+    assert np.allclose(sequence_unitary(GateSequence(n, (g,))), oracle_unitary(g, n), atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,7 +76,7 @@ def test_apply_gate_matches_unitary(case, seed):
     amps /= np.linalg.norm(amps, axis=0)
     psi = StateVector(n, amps[:, 0])
     out = apply_gate(psi, g)
-    assert np.allclose(out.amps, gate_unitary(g, n) @ psi.amps, atol=1e-10)
+    assert np.allclose(out.amps, oracle_unitary(g, n) @ psi.amps, atol=1e-10)
     # a column batch with one phase per column: column k is apply_gate at theta_k
     thetas = g.theta + rng.uniform(-1.0, 1.0, size=3)
     batch = _evolve(amps, n, g, thetas)
@@ -100,31 +99,11 @@ def test_gate_op_validation():
             GateOp("O4", 0.1, phi)
 
 
-def test_sequence_text_roundtrip():
-    seq = GateSequence(
-        3,
-        (
-            GateOp("O4", np.pi / 16, 0.0),
-            GateOp("O3", np.pi / 4, np.pi / 2),
-            GateOp("O1", np.pi / 2, target=1),
-            GateOp("O2", np.pi / 32),
-        ),
-    )
-    back = GateSequence.from_text(3, seq.to_text())
-    # text form keeps 9 significant digits, so compare to that precision
-    assert len(back) == len(seq)
-    for got, want in zip(back.gates, seq.gates):
-        assert got.kind == want.kind
-        assert got.target == want.target
-        assert got.theta == pytest.approx(want.theta, rel=1e-8)
-        assert got.phi == pytest.approx(want.phi, rel=1e-8)
-
-
 def test_sequence_unitary_is_time_ordered_product():
     a = GateOp("O3", 0.3, 0.0)
     b = GateOp("O2", 0.7)
     seq = GateSequence(2, (a, b))
-    want = gate_unitary(b, 2) @ gate_unitary(a, 2)  # a acts first
+    want = oracle_unitary(b, 2) @ oracle_unitary(a, 2)  # a acts first
     assert np.allclose(sequence_unitary(seq), want, atol=1e-12)
 
 
@@ -163,7 +142,7 @@ def test_empty_sequence_unitary_is_the_identity():
 
 def test_o4_on_single_spin_is_identity():
     # no spin pairs exist, the entangling generator vanishes
-    u = gate_unitary(GateOp("O4", 1.234, 0.7), 1)
+    u = sequence_unitary(GateSequence(1, (GateOp("O4", 1.234, 0.7),)))
     assert np.allclose(u, np.eye(2), atol=1e-12)
 
 

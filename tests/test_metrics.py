@@ -1,30 +1,25 @@
-"""Fidelity, tomography, and truth-table metric tests."""
+"""Fidelity, tomography, Hofmann-bound and GHZ-fidelity metric tests."""
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
 from trotterion.compiler import compile_first_order
-from trotterion.gates import GateOp, GateSequence, sequence_unitary
+from trotterion.gates import GateOp, GateSequence, apply_gate, sequence_unitary
 from trotterion.metrics import (
     FidelityBound,
     GhzMeasurementRecord,
     ProcessMatrix,
     chi_overlap,
-    complementary_check,
-    decoherence_group_analysis,
     ghz_fidelity,
-    ghz_record_from_state,
     hofmann_bounds,
     process_fidelity,
     simulate_qpt,
-    state_fidelity,
     tangle2,
-    truth_table,
     unitary_chi,
 )
 from trotterion.models import ising2
 from trotterion.oracle import propagator
-from trotterion.pauli import DensityMatrix, StateVector
+from trotterion.pauli import PauliString, StateVector, expectation
 
 
 def bell_state() -> StateVector:
@@ -36,19 +31,6 @@ def ghz_state(n: int, theta: float = np.pi / 4) -> StateVector:
     amps[0] = np.cos(theta)
     amps[-1] = np.sin(theta)
     return StateVector(n, amps)
-
-
-def test_state_fidelity_pure():
-    a = StateVector.all_up(2)
-    assert state_fidelity(a, a) == pytest.approx(1.0)
-    assert state_fidelity(a, StateVector.all_down(2)) == pytest.approx(0.0)
-    assert state_fidelity(a, bell_state()) == pytest.approx(0.5)
-
-
-def test_state_fidelity_mixed_against_pure():
-    rho = DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex))
-    up = StateVector.basis(1, 0)
-    assert state_fidelity(rho, up) == pytest.approx(0.75)
 
 
 def test_process_fidelity_phase_invariant():
@@ -105,24 +87,6 @@ def test_qpt_matches_trotter_fidelity():
     assert chi_overlap(chi, want) == pytest.approx(direct, abs=1e-6)
 
 
-def test_complementary_check():
-    z = [StateVector.basis(1, 0), StateVector.basis(1, 1)]
-    x = [
-        StateVector(1, np.array([1, 1], complex) / np.sqrt(2)),
-        StateVector(1, np.array([1, -1], complex) / np.sqrt(2)),
-    ]
-    assert complementary_check(z, x)
-    assert not complementary_check(z, z)
-
-
-def test_truth_table_identity_reference():
-    basis = [StateVector.basis(2, k) for k in range(4)]
-    table = truth_table(GateSequence(2, ()), basis, np.eye(4), label="z")
-    F, u = table.average()
-    assert F == pytest.approx(1.0)
-    assert u == 0.0
-
-
 def test_hofmann_bounds_formula():
     b = hofmann_bounds(0.9, 0.8, 0.01, 0.02)
     assert b.lower == pytest.approx(0.7)
@@ -135,17 +99,33 @@ def test_hofmann_bounds_formula():
         FidelityBound(0.9, 0.5)
 
 
+def ghz_record(state: StateVector, theta: float) -> GhzMeasurementRecord:
+    """The populations and the n parities of a state that ``ghz_fidelity`` reads.
+
+    Each parity is <Z...Z> after the collective analysis rotation
+    O3(pi/4, phi), at phases spaced by pi/n from -pi/2 with alternating
+    signs. For cos(theta)|0..0> + sin(theta)|1..1> the parity oscillates as
+    2 cos(theta) sin(theta) cos(n phi + n pi/2), so these phases sit on its
+    extrema.
+    """
+    n = state.n
+    zz = PauliString(n, "Z" * n)
+    phis = [i * np.pi / n - np.pi / 2 for i in range(n)]
+    parities = tuple(expectation(apply_gate(state, GateOp("O3", np.pi / 4, phi)), zz) for phi in phis)
+    probs = state.probabilities()
+    signs = tuple((-1) ** i for i in range(n))
+    return GhzMeasurementRecord(theta, float(probs[0]), float(probs[-1]), parities, signs)
+
+
 def test_ghz_record_matches_state_fidelity():
     for n in (3, 6):
         for theta in (np.pi / 4, 0.6):
             target = ghz_state(n, theta)
-            rec = ghz_record_from_state(target, theta)
-            assert ghz_fidelity(rec) == pytest.approx(1.0, abs=1e-10)
+            assert ghz_fidelity(ghz_record(target, theta)) == pytest.approx(1.0, abs=1e-10)
             # a partly depolarized version: formula tracks the true overlap
             other = ghz_state(n, theta + 0.3)
-            rec2 = ghz_record_from_state(other, theta)
-            assert ghz_fidelity(rec2) == pytest.approx(
-                state_fidelity(target, other), abs=1e-10
+            assert ghz_fidelity(ghz_record(other, theta)) == pytest.approx(
+                abs(np.vdot(target.amps, other.amps)) ** 2, abs=1e-10
             )
 
 
@@ -162,16 +142,3 @@ def test_process_matrix_validation():
     bad = ProcessMatrix(1, np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))
     with pytest.raises(ValueError):
         bad.validate()
-
-
-def test_decoherence_group_analysis():
-    rows = [
-        ("000000", (0.6, -0.6), (0.3, 0.4)),
-        ("000111", (0.8, -0.8), (0.4, 0.4)),
-        ("001111", (0.7, -0.7), (0.45, 0.4)),
-    ]
-    out = decoherence_group_analysis(rows)
-    assert set(out) == {0, 2, 6}
-    assert out[6]["parity"] == pytest.approx(0.6)
-    assert out[0]["population"] == pytest.approx(0.8)
-    assert out[2]["count"] == 1

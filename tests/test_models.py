@@ -30,7 +30,7 @@ def test_two_spin_presets():
 
 def test_long_range_ising_all_pairs():
     model, graph = long_range_ising(5, 0.5, 1.0)
-    couplings = [p.ops for _, p in model.terms if p.weight() == 2]
+    couplings = [p.ops for _, p in model.terms if len(p.ops.replace("I", "")) == 2]
     assert len(couplings) == 5 * 4 // 2
     assert all(ops.count("X") == 2 for ops in couplings)
     assert graph.n == 5

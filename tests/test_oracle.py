@@ -22,13 +22,10 @@ from trotterion.models import (
 )
 from trotterion.oracle import (
     DENSE_MAX_SPINS,
-    DegenerateGroundState,
     Exact,
-    instantaneous_ground_state,
     level_populations,
     propagator,
     ramp_evolution,
-    ramp_hamiltonian,
     sparse_evolution,
     spectrum,
     time_ordered_propagator,
@@ -85,21 +82,6 @@ def test_eigenstate_is_stationary():
     assert abs(np.vdot(vec, out)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_instantaneous_ground_state_field_only():
-    # +B sum Z with B > 0: the all-down state minimizes the energy
-    h = WeightedPauliSum.from_terms(
-        2, [(1.0, PauliString(2, "ZI")), (1.0, PauliString(2, "IZ"))]
-    )
-    gs = instantaneous_ground_state(h)
-    assert abs(gs.overlap(StateVector.all_down(2))) == pytest.approx(1.0)
-
-
-def test_degenerate_ground_state_raises():
-    h = WeightedPauliSum.from_terms(2, [(1.0, PauliString(2, "ZZ"))])
-    with pytest.raises(DegenerateGroundState):
-        instantaneous_ground_state(h)
-
-
 def test_time_ordered_constant_ramp_matches_propagator():
     ramp = RampSpec(1.0, 2.0, 2.0, 1.0)  # J constant: ordering is trivial
     u = time_ordered_propagator(ramp, 50)
@@ -127,7 +109,7 @@ def _per_slice_steps(ramp, start, stop, slices):
     """The ramp's slice propagators one at a time, as the oracle once built them."""
     d = (stop - start) / slices
     for k in range(slices):
-        yield propagator(ramp_hamiltonian(ramp, start + (k + 0.5) * d), d)
+        yield propagator(ising2(ramp.B, ramp.J_at(start + (k + 0.5) * d)), d)
 
 
 def _per_slice_evolution(ramp, psi0, thetas, fine_per_unit=2000):
@@ -200,13 +182,6 @@ def test_stacked_matrices_match_lone_builds_with_every_letter():
 def test_ramp_evolution_rejects_a_bad_grid(thetas):
     with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
         ramp_evolution(FIG1B_RAMP, StateVector.all_down(2), thetas)
-
-
-def test_ramp_hamiltonian_interpolates():
-    ramp = RampSpec(2.0, 0.0, 4.0, 1.0)
-    h = ramp_hamiltonian(ramp, 1.0)
-    coeffs = {p.ops: c for c, p in h.terms}
-    assert coeffs["XX"] == pytest.approx(2.0)
 
 
 @st.composite
@@ -409,17 +384,32 @@ def test_exact_states_rejects_a_state_of_another_size(route, offset, grid):
     assert "spectrum" not in vars(exact)  # refused before any work
 
 
-def test_sparse_route_loads_neither_sparse_linalg_nor_special():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trotterion.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = (
-        "import sys, numpy as np\n"
+# Fresh-process cases that need no scipy.linalg, scipy.optimize, scipy.special or
+# scipy.sparse.linalg, and so must not pay for importing them.
+START_UP_CASES = {
+    "bare_import": "import trotterion\n",
+    "bundled": (
+        "from trotterion import cli\n"
+        "assert len(cli.bundled_scenarios()) == 18\n"
+        "for name in cli.bundled_scenarios():\n"
+        "    cli.run_scenario(name, sys.argv[1])\n"
+    ),
+    "sparse_route": (
+        "import numpy as np\n"
         "from trotterion.models import long_range_ising\n"
         "from trotterion.oracle import Exact\n"
         "from trotterion.pauli import StateVector\n"
         "Exact(long_range_ising(9, 0.5, 1.0)[0]).states(StateVector.all_up(9), np.linspace(0.0, 2.3, 33))\n"
-        "print(sorted({'scipy.sparse.linalg', 'scipy.special'} & set(sys.modules)))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                         timeout=60, check=True).stdout
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(START_UP_CASES))
+def test_loads_no_scipy_linalg_optimize_or_special(case, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trotterion.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    unwanted = {"scipy.linalg", "scipy.optimize", "scipy.special", "scipy.sparse.linalg"}
+    script = f"import sys\n{START_UP_CASES[case]}print(sorted({unwanted!r} & set(sys.modules)))\n"
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
     assert out.split() == ["[]"]
