@@ -10,7 +10,6 @@ oracle.
 from .compiler import (
     CompileError,
     CompiledProgram,
-    TrotterPlan,
     compile_coupling_graph,
     compile_first_order,
     compile_many_body,

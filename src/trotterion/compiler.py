@@ -27,31 +27,17 @@ class CompileError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrotterPlan:
-    """Digitization parameters: splitting order, step count, total phase."""
-
-    order: int
-    steps: int
-    theta: float
-
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError(f"unsupported splitting order {self.order}")
-        if self.steps < 1:
-            raise CompileError("step count must be >= 1")
-
-
-@dataclass(frozen=True)
 class CompiledProgram:
-    """Gate sequence with stroboscopic checkpoints.
+    """Gate sequence with stroboscopic checkpoints and the total phase it evolves by.
 
     checkpoints[k] is the number of gates executed after digital step
-    k+1; the last checkpoint equals the sequence length.
+    k+1; the last checkpoint equals the sequence length. Every step
+    evolves by theta / len(checkpoints).
     """
 
     sequence: GateSequence
     checkpoints: tuple
-    plan: TrotterPlan
+    theta: float
 
     def __post_init__(self):
         cps = tuple(int(c) for c in self.checkpoints)
@@ -61,14 +47,10 @@ class CompiledProgram:
             raise ValueError("last checkpoint must equal the sequence length")
         object.__setattr__(self, "checkpoints", cps)
 
-    @property
-    def n(self) -> int:
-        return self.sequence.n
-
     def checkpoint_thetas(self) -> np.ndarray:
         """Accumulated phase at each checkpoint (uniform steps)."""
         k = np.arange(1, len(self.checkpoints) + 1)
-        return self.plan.theta * k / self.plan.steps
+        return self.theta * k / len(self.checkpoints)
 
     def checkpoint_states(self, psi0: StateVector) -> list:
         """Propagate psi0 and collect the state at every checkpoint."""
@@ -374,16 +356,12 @@ def _product_formula(
     fields, couplings, many = _classify_terms(model)
     cgates = _coupling_gates(model.n, couplings, many, dtheta)
     half = _field_gates(fields, dtheta / 2) if order == 2 and cgates else []
-    if half:
-        block = half + cgates + half
-    else:
-        order, block = 1, cgates + _field_gates(fields, dtheta)
+    block = half + cgates + half if half else cgates + _field_gates(fields, dtheta)
     if not block:
         raise CompileError("model has no nontrivial compilable terms")
     gates = tuple(block) * steps
     checkpoints = tuple(len(block) * (k + 1) for k in range(steps))
-    plan = TrotterPlan(order, steps, theta)
-    return CompiledProgram(GateSequence(model.n, gates), checkpoints, plan)
+    return CompiledProgram(GateSequence(model.n, gates), checkpoints, theta)
 
 
 def compile_first_order(model: WeightedPauliSum, theta: float, steps: int) -> CompiledProgram:
@@ -412,7 +390,7 @@ def compile_model_steps(kind: str, resolution: float, steps: int) -> CompiledPro
     return compile_first_order(_STEP_MODELS[kind](1.0, 1.0), resolution * steps, steps)
 
 
-def compile_time_dependent(ramp: RampSpec, steps: int = 8) -> CompiledProgram:
+def compile_time_dependent(ramp: RampSpec, steps: int) -> CompiledProgram:
     """Digitize a linear coupling ramp into counted entangling pulses.
 
     Each step applies floor(J(theta_k)) entangling pulses of phase
@@ -429,8 +407,7 @@ def compile_time_dependent(ramp: RampSpec, steps: int = 8) -> CompiledProgram:
         gates.extend([GateOp("O4", dtheta, 0.0)] * d_count)
         gates.append(GateOp("O2", ramp.B * dtheta))
         checkpoints.append(len(gates))
-    plan = TrotterPlan(1, steps, ramp.theta_t)
-    return CompiledProgram(GateSequence(2, tuple(gates)), tuple(checkpoints), plan)
+    return CompiledProgram(GateSequence(2, tuple(gates)), tuple(checkpoints), ramp.theta_t)
 
 
 def compile_coupling_graph(g: CouplingGraph, theta: float) -> CompiledProgram:
@@ -440,7 +417,7 @@ def compile_coupling_graph(g: CouplingGraph, theta: float) -> CompiledProgram:
     gates = tuple(_graph_gates(g, theta))
     if not gates:
         raise CompileError("coupling graph has no nonzero couplings")
-    return CompiledProgram(GateSequence(g.n, gates), (len(gates),), TrotterPlan(1, 1, theta))
+    return CompiledProgram(GateSequence(g.n, gates), (len(gates),), theta)
 
 
 def compile_many_body(p: PauliString, theta: float) -> CompiledProgram:

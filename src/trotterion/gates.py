@@ -17,8 +17,9 @@ sigma_phi eigenbasis W = V_phi^{(x)n}, with value m (O3) or (m^2 - n)/2
 Each gate's action on states is written once, in ``_evolve``, a kernel on
 amplitude arrays of shape (2^n,) or (2^n, k): each of the k columns is a
 separate state, and theta is one scalar for all columns or one phase per
-column. O4 is evaluated there in the sigma_phi eigenbasis instead of by
-dense exponentiation; cost is O(n 2^n) per application.
+column. O4, and O3 with one phase per column, are evaluated there in the
+sigma_phi eigenbasis instead of by dense exponentiation; cost is O(n 2^n)
+per application. O3 with one scalar phase is its 2x2 rotation on each spin.
 
 ``sequence_unitary`` multiplies a whole program out on the identity
 instead. Each run of gates diagonal in one basis folds into one phase
@@ -29,7 +30,7 @@ unitary, against O(2^(3n)) for a product with W itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
@@ -89,7 +90,15 @@ class GateSequence:
         return "\n".join(g.to_line() for g in self.gates)
 
 
-@dataclass(frozen=True)
+# kind: (reference theta, duration at reference in us, scaling)
+_DURATIONS = {
+    "O1": (np.pi / 2, 30.0, "fixed"),
+    "O2": (np.pi / 16, 10.0, "linear"),
+    "O3": (np.pi / 4, 5.0, "linear"),
+    "O4": (np.pi / 16, 30.0, "fixed"),
+}
+
+
 class DurationModel:
     """Wall-time model per gate kind.
 
@@ -99,20 +108,8 @@ class DurationModel:
     addressed pulses are dominated by beam-steering time).
     """
 
-    entries: dict = field(
-        default_factory=lambda: {
-            # kind: (reference theta, duration at reference in us, scaling)
-            "O1": (np.pi / 2, 30.0, "fixed"),
-            "O2": (np.pi / 16, 10.0, "linear"),
-            "O3": (np.pi / 4, 5.0, "linear"),
-            "O4": (np.pi / 16, 30.0, "fixed"),
-        }
-    )
-
     def duration(self, gate: GateOp) -> float:
-        if gate.kind not in self.entries:
-            raise KeyError(f"no duration entry for {gate.kind}")
-        ref_theta, ref_dur, scaling = self.entries[gate.kind]
+        ref_theta, ref_dur, scaling = _DURATIONS[gate.kind]
         if scaling == "fixed":
             return ref_dur
         return ref_dur * abs(gate.theta) / ref_theta
@@ -166,14 +163,14 @@ def _evolve(amps: np.ndarray, n: int, g: GateOp, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if g.kind == "O1" and not 0 <= g.target < n:
         raise DimensionError(f"O1 target {g.target} out of range for n={n}")
-    if g.kind == "O3":
+    if g.kind == "O3" and theta.ndim == 0:  # the bundled CSVs carry this form's rounding
         sig = np.array([[0, np.exp(-1j * g.phi)], [np.exp(1j * g.phi), 0]], dtype=complex)
-        c, s = np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
-        return _each_spin(amps, n, c * np.eye(2) - 1j * s * sig)
+        return _each_spin(amps, n, np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * sig)
     gen = _generator(g.kind, n, g.target)
-    if g.kind != "O4":
+    if g.kind in ("O1", "O2"):
         return _diagonal(amps, theta, gen)
-    # O4: rotate into the product sigma_phi eigenbasis, apply diagonal phases
+    # O3 per column and O4: rotate into the product sigma_phi eigenbasis,
+    # apply diagonal phases, rotate back
     v = _phi_basis_change(g.phi)
     amps = _each_spin(amps, n, v.conj().T)
     return _each_spin(_diagonal(amps, theta, gen), n, v)

@@ -37,8 +37,8 @@ class ProcessMatrix:
             raise DimensionError(f"chi has shape {chi.shape}, expected ({d4},{d4})")
         object.__setattr__(self, "chi", chi)
 
-    def validate(self, tol: float = 1e-8) -> None:
-        if np.max(np.abs(self.chi - self.chi.conj().T)) > tol:
+    def validate(self) -> None:
+        if np.max(np.abs(self.chi - self.chi.conj().T)) > 1e-8:
             raise ValueError("chi matrix is not Hermitian")
         if abs(np.trace(self.chi).real - 1.0) > 1e-6:
             raise ValueError(f"chi trace {np.trace(self.chi)} != 1")
@@ -176,7 +176,7 @@ def _measured_density(state: StateVector, rng, shots) -> np.ndarray:
 
 
 def simulate_qpt(program, shots: int | None = None, seed: int = 0) -> ProcessMatrix:
-    """Tomographic chi reconstruction of a compiled program or unitary.
+    """Tomographic chi reconstruction of a compiled program or gate sequence.
 
     Propagates the standard product-state input set, reconstructs each
     output from Pauli expectations (sampled binomially when shots is
@@ -184,10 +184,10 @@ def simulate_qpt(program, shots: int | None = None, seed: int = 0) -> ProcessMat
     onto the positive cone with trace renormalization.
     """
     seq = getattr(program, "sequence", program)
-    n = int(np.log2(seq.shape[0])) if isinstance(seq, np.ndarray) else seq.n
+    n = seq.n
     if n > 2:  # checked before a sequence is multiplied out
         raise DimensionError("tomography supported for n <= 2")
-    U = seq if isinstance(seq, np.ndarray) else sequence_unitary(seq)
+    U = sequence_unitary(seq)
     d = 2**n
     rng = np.random.default_rng(seed)
     inputs = _tomography_inputs(n)

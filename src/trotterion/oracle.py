@@ -45,6 +45,10 @@ DENSE_MAX_SPINS = 6
 # set to 0; CHEBYSHEV_BLOCK (at least 3) vectors are summed per matrix product.
 CHEBYSHEV_TOL = 1e-15
 CHEBYSHEV_BLOCK = 32
+# Midpoint slices of a ramp's exact evolution: per unit of theta_t in
+# ramp_evolution, over the whole span in time_ordered_propagator. Doubling
+# it moves the bundled ramps by < 1e-8.
+RAMP_SLICES = 2000
 
 
 @dataclass(frozen=True)
@@ -182,12 +186,11 @@ def _ramp_steps(ramp: RampSpec, edges: np.ndarray, slices: np.ndarray) -> np.nda
 
 
 def time_ordered_propagator(
-    ramp: RampSpec, fine_steps: int = 2000, theta_end: float | None = None
+    ramp: RampSpec, fine_steps: int = RAMP_SLICES, theta_end: float | None = None
 ) -> np.ndarray:
-    """Ordered product of short exact propagators over a fine theta grid.
+    """Ordered product of fine_steps short exact propagators from 0 to theta_end.
 
-    Uses the midpoint coupling of each slice; doubling fine_steps moves
-    the result by less than 1e-8 for the bundled ramps.
+    Uses the midpoint coupling of each slice.
     """
     if fine_steps < 1:
         raise ValueError("fine_steps must be >= 1")
@@ -198,18 +201,16 @@ def time_ordered_propagator(
     return u
 
 
-def ramp_evolution(
-    ramp: RampSpec, psi0: StateVector, thetas: np.ndarray, fine_per_unit: int = 2000
-) -> np.ndarray:
+def ramp_evolution(ramp: RampSpec, psi0: StateVector, thetas: np.ndarray) -> np.ndarray:
     """States of the exact time-dependent evolution at the given phases, as columns (4, k).
 
-    fine_per_unit is the number of integration slices per unit of theta_t.
+    Each span between phases takes RAMP_SLICES slices per unit of theta_t, rounded up.
     """
     edges = np.concatenate([[0.0], np.asarray(thetas, dtype=float)])
     spans = np.diff(edges)
     if np.any(spans < 0):
         raise ValueError("theta grid must be nonnegative and nondecreasing")
-    slices = np.ceil(fine_per_unit * spans / ramp.theta_t).astype(int)  # 0 on a zero span
+    slices = np.ceil(RAMP_SLICES * spans / ramp.theta_t).astype(int)  # 0 on a zero span
     steps = _ramp_steps(ramp, edges, slices)
     states = np.empty((len(psi0.amps), len(spans)), dtype=complex)
     psi, ends = psi0.amps, np.cumsum(slices)
@@ -253,5 +254,5 @@ class Exact:
     def propagator(self, theta: float) -> np.ndarray:
         """The full 2^n x 2^n propagator from 0 to theta."""
         if isinstance(self.model, RampSpec):
-            return time_ordered_propagator(self.model, 2000, theta)
+            return time_ordered_propagator(self.model, theta_end=theta)
         return self.spectrum.propagator(theta)

@@ -66,11 +66,11 @@ def dominant_frequency(trace: ObservableTrace, zero_pad: int = 1) -> float:
     return float(freqs[1:][np.argmax(amps[1:])])
 
 
-def predicted_gaps(h, psi0: StateVector, tol: float = POPULATION_TOL):
+def predicted_gaps(h, psi0: StateVector):
     """Observable energy gaps with their population-product weights.
 
-    Only level pairs both populated by the initial state contribute;
-    the returned list is sorted by descending weight.
+    Only level pairs both populated above POPULATION_TOL by the initial
+    state contribute; the returned list is sorted by descending weight.
     """
     spec: Spectrum = spectrum(h)
     pops = level_populations(psi0, spec)
@@ -78,6 +78,6 @@ def predicted_gaps(h, psi0: StateVector, tol: float = POPULATION_TOL):
     out = []
     for a in range(len(energies)):
         for b in range(a + 1, len(energies)):
-            if pops[a] > tol and pops[b] > tol:
+            if pops[a] > POPULATION_TOL and pops[b] > POPULATION_TOL:
                 out.append((float(energies[b] - energies[a]), float(pops[a] * pops[b])))
     return sorted(out, key=lambda t: -t[1])

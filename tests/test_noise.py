@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from trotterion.cli import parse_observable, run_scenario
-from trotterion.compiler import compile_first_order
+from trotterion.compiler import compile_first_order, compile_many_body
 from trotterion.gates import GateOp, GateSequence, apply_sequence
-from trotterion.models import ising2
-from trotterion.noise import NoiseParams, apply_miscalibration, perturb_sequence, sample_checkpoints
+from trotterion.models import FieldSpec, ising2, many_body_model, xyz2
+from trotterion.noise import (
+    NoiseParams,
+    apply_miscalibration,
+    perturb_sequence,
+    sample_checkpoints,
+    shot_states,
+)
 from trotterion.pauli import PauliString, StateVector, columnwise, expectation
 
 THETA_A = np.pi / (2 * np.sqrt(2))
@@ -52,6 +58,34 @@ def test_miscalibration_targets_one_kind():
             assert g1.theta == g0.theta
     with pytest.raises(ValueError):
         apply_miscalibration(prog, "O4", 0.2)
+
+
+O3_PROGRAMS = {
+    "xyz2": lambda: compile_first_order(xyz2(0.7, 1.1), 2.0, 5),
+    "ZXX_y_field": lambda: compile_first_order(
+        many_body_model(PauliString.from_string("ZXX"), 1.0, FieldSpec("y", 0.6)), 1.3, 3
+    ),
+    "YXXX": lambda: compile_many_body(PauliString.from_string("YXXX"), 0.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(O3_PROGRAMS))
+def test_shot_states_match_each_perturbed_sequence(name):
+    # every program holds O3 gates, which shot_states runs with one phase per column
+    prog = O3_PROGRAMS[name]()
+    n = prog.sequence.n
+    assert any(g.kind == "O3" for g in prog.sequence.gates)
+    rng = np.random.default_rng(7)
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    psi0 = StateVector(n, amps / np.linalg.norm(amps))
+    eps = [-0.3, 0.0, 0.05, 0.2]
+    got = list(shot_states(prog.sequence, psi0, eps, prog.checkpoints))
+    assert len(got) == len(prog.checkpoints)
+    for cp, batch in zip(prog.checkpoints, got):
+        for k, e in enumerate(eps):
+            noisy = perturb_sequence(prog.sequence, e)
+            want = apply_sequence(psi0, GateSequence(n, noisy.gates[:cp])).amps
+            assert np.max(np.abs(batch[:, k] - want)) < 1e-12
 
 
 def pop_up(state):

@@ -22,6 +22,7 @@ from trotterion.models import (
 )
 from trotterion.oracle import (
     DENSE_MAX_SPINS,
+    RAMP_SLICES,
     Exact,
     level_populations,
     propagator,
@@ -112,12 +113,12 @@ def _per_slice_steps(ramp, start, stop, slices):
         yield propagator(ising2(ramp.B, ramp.J_at(start + (k + 0.5) * d)), d)
 
 
-def _per_slice_evolution(ramp, psi0, thetas, fine_per_unit=2000):
+def _per_slice_evolution(ramp, psi0, thetas):
     states, psi, prev = [], psi0.amps, 0.0
     for th in thetas:
         span = th - prev
         if span > 0:
-            steps = max(1, int(np.ceil(fine_per_unit * span / ramp.theta_t)))
+            steps = max(1, int(np.ceil(RAMP_SLICES * span / ramp.theta_t)))
             for step in _per_slice_steps(ramp, prev, th, steps):
                 psi = step @ psi
         prev = th
@@ -329,7 +330,7 @@ def test_exact_routes_a_ramp_to_the_time_ordered_functions():
     thetas = np.linspace(0.0, np.pi / 2, 5)
     exact = Exact(ramp)
     assert np.array_equal(exact.states(psi0, thetas), ramp_evolution(ramp, psi0, thetas))
-    assert np.array_equal(exact.propagator(0.9), time_ordered_propagator(ramp, 2000, 0.9))
+    assert np.array_equal(exact.propagator(0.9), time_ordered_propagator(ramp, RAMP_SLICES, 0.9))
 
 
 @pytest.mark.parametrize("n", [DENSE_MAX_SPINS, DENSE_MAX_SPINS + 1])

@@ -108,8 +108,17 @@ def test_single_spin_vector_path_equals_tensordot_bit_for_bit(n, kind, seed):
     rng = np.random.default_rng(seed)
     mat = single_spin_matrix(kind, rng)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    batch = rng.standard_normal((2**n, 33)) + 1j * rng.standard_normal((2**n, 33))
     for j in range(n):
-        assert np.array_equal(_apply_single_spin(amps, n, j, mat), tensordot_reference(amps, n, j, mat))
+        vec = _apply_single_spin(amps, n, j, mat)
+        assert np.array_equal(vec, tensordot_reference(amps, n, j, mat))
+        # a batch of one column is the vector, bit for bit
+        assert np.array_equal(_apply_single_spin(amps[:, None], n, j, mat)[:, 0], vec)
+        # wider batches: each column is its own vector result, to rounding
+        for k in (3, 33):
+            got = _apply_single_spin(batch[:, :k], n, j, mat)
+            for c in range(k):
+                assert np.max(np.abs(got[:, c] - _apply_single_spin(batch[:, c], n, j, mat))) < 1e-14
 
 
 def test_state_labels_little_endian():
