@@ -27,10 +27,8 @@ from .gates import (
     sequence_unitary,
 )
 from .metrics import (
-    FidelityBound,
     GhzMeasurementRecord,
     ProcessMatrix,
-    TruthTable,
     chi_overlap,
     ghz_fidelity,
     hofmann_bounds,
@@ -63,7 +61,6 @@ from .oracle import (
     propagator,
     ramp_evolution,
     spectrum,
-    time_ordered_propagator,
 )
 from .pauli import (
     DimensionError,

@@ -29,7 +29,7 @@ from .compiler import (
     compile_time_dependent,
 )
 from .gates import DurationModel, apply_sequence, sequence_stats, sequence_unitary
-from .metrics import GhzMeasurementRecord, TruthTable, ghz_fidelity, hofmann_bounds, process_fidelity, tangle2
+from .metrics import GhzMeasurementRecord, ghz_fidelity, hofmann_bounds, process_fidelity, tangle2
 from .models import (
     CouplingGraph,
     FieldSpec,
@@ -188,7 +188,7 @@ def load_scenario(ref: str) -> Scenario:
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     model_cfg = _block(cfg["model"], "model", "preset")
     model = _build_model(model_cfg)
-    n = 2 if isinstance(model, RampSpec) else model.n
+    n = model.n
     program, sweep = _program(_block(cfg["compile"], "compile", "method"), model, model_cfg["preset"])
     if sweep is not None and ("noise" in cfg or "verify" in cfg):
         raise ConfigError("a sweep scenario takes no noise or verify block")
@@ -438,19 +438,52 @@ def _verify(sc: Scenario, exact: Exact, prog) -> None:
 # -- fixture-based fidelity bounds ------------------------------------------
 
 
+def _cell_range(column: str) -> tuple | None:
+    """The [low, high] a truth-table column's values must lie in; None for a label column.
+
+    Fidelities and populations are probabilities and parities expectations of
+    a +-1 observable; the standard error of either is at most 1.
+    """
+    if column.endswith("_unc") or column == "fidelity" or column.startswith("population"):
+        return 0.0, 1.0
+    if column.startswith("parity"):
+        return -1.0, 1.0
+    return None
+
+
 def _read_fixture(path: str):
+    """(header, rows) of a truth-table CSV, each row a dict of its cells.
+
+    This is where every value cell is parsed to a float and checked to lie in
+    its column's range; a NaN or infinite cell lies in none.
+    """
     with open(path) as f:
         header = f.readline().strip().split(",")
+        if "fidelity" not in header:
+            raise ConfigError(f"fixture {path} has no fidelity column")
         rows = []
         for line in f:
-            if line.strip():
-                cells = line.strip().split(",")
-                if len(cells) != len(header):
-                    raise ConfigError(f"fixture {path} has a row of {len(cells)} cells, not {len(header)}")
-                rows.append(dict(zip(header, cells)))
-    if "fidelity" not in header:
-        raise ConfigError(f"fixture {path} has no fidelity column")
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != len(header):
+                raise ConfigError(f"fixture {path} has a row of {len(cells)} cells, not {len(header)}")
+            row = dict(zip(header, cells))
+            for column, cell in row.items():
+                bounds = _cell_range(column)
+                if bounds is not None:
+                    row[column] = float(cell)
+                    if not bounds[0] <= row[column] <= bounds[1]:
+                        raise ConfigError(f"fixture {path}: {column} {cell} outside [{bounds[0]:g}, {bounds[1]:g}]")
+            rows.append(row)
     return header, rows
+
+
+def _mean(entries: list) -> tuple:
+    """Mean fidelity of (fidelity, uncertainty) pairs and its quadrature-propagated uncertainty."""
+    fids = np.array([f for f, _ in entries])
+    uncs = np.array([u for _, u in entries])
+    return float(fids.mean()), float(np.sqrt(np.sum(uncs**2)) / len(entries))
 
 
 def bound_from_fixtures(paths, theta: float = np.pi / 4) -> dict:
@@ -462,6 +495,8 @@ def bound_from_fixtures(paths, theta: float = np.pi / 4) -> dict:
     recomputed from parities and populations at the given target angle
     as a cross-check.
     """
+    if not math.isfinite(theta):
+        raise ConfigError(f"theta must be finite, got {theta}")
     eigen, entangling, recomputed = [], [], []
     try:
         for path in paths:
@@ -470,34 +505,21 @@ def bound_from_fixtures(paths, theta: float = np.pi / 4) -> dict:
                 (h for h in header if h.startswith("parity") and not h.endswith("_unc")),
                 key=lambda h: int(h[len("parity"):]),
             )
-            for number, row in enumerate(rows, 1):
-                entry = (row.get("input", number), float(row["fidelity"]), float(row.get("fidelity_unc", 0.0)))
+            signs = tuple((-1) ** i for i in range(len(parity_cols)))
+            for row in rows:
+                (entangling if parity_cols else eigen).append((row["fidelity"], row.get("fidelity_unc", 0.0)))
                 if parity_cols:
-                    entangling.append(entry)
-                    parities = tuple(float(row[c]) for c in parity_cols)
-                    signs = tuple((-1) ** i for i in range(len(parities)))
-                    rec = GhzMeasurementRecord(
-                        theta,
-                        float(row["population1"]),
-                        float(row["population2"]),
-                        parities,
-                        signs,
-                    )
+                    parities = tuple(row[c] for c in parity_cols)
+                    rec = GhzMeasurementRecord(theta, row["population1"], row["population2"], parities, signs)
                     recomputed.append(ghz_fidelity(rec))
-                else:
-                    eigen.append(entry)
-        if not eigen or not entangling:
-            raise ConfigError("need at least one eigenbasis and one parity fixture")
-        # TruthTable checks every row's fidelity lies in [0, 1]
-        F1, u1 = TruthTable("eigenbasis", tuple(eigen)).average()
-        F2, u2 = TruthTable("entangling", tuple(entangling)).average()
-        b = hofmann_bounds(F1, F2, u1, u2)
-    except ValueError as e:  # a non-numeric cell or a fidelity outside [0, 1]; ConfigError too
+    except ValueError as e:  # a non-numeric cell or one outside its range; ConfigError too
         raise ConfigError(f"bad truth table: {e}") from e
+    if not eigen or not entangling:
+        raise ConfigError("need at least one eigenbasis and one parity fixture")
+    (F1, u1), (F2, u2) = _mean(eigen), _mean(entangling)
     return {
         "F1": F1, "F1_unc": u1, "F2": F2, "F2_unc": u2,
-        "lower": b.lower, "upper": b.upper,
-        "lower_unc": b.lower_unc, "upper_unc": b.upper_unc,
+        **hofmann_bounds(F1, F2, u1, u2),
         "F2_recomputed": float(np.mean(recomputed)),
     }
 

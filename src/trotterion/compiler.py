@@ -407,7 +407,7 @@ def compile_time_dependent(ramp: RampSpec, steps: int) -> CompiledProgram:
         gates.extend([GateOp("O4", dtheta, 0.0)] * d_count)
         gates.append(GateOp("O2", ramp.B * dtheta))
         checkpoints.append(len(gates))
-    return CompiledProgram(GateSequence(2, tuple(gates)), tuple(checkpoints), ramp.theta_t)
+    return CompiledProgram(GateSequence(ramp.n, tuple(gates)), tuple(checkpoints), ramp.theta_t)
 
 
 def compile_coupling_graph(g: CouplingGraph, theta: float) -> CompiledProgram:

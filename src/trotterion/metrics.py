@@ -47,39 +47,6 @@ class ProcessMatrix:
 
 
 @dataclass(frozen=True)
-class TruthTable:
-    """Per-input overlap with the ideal output state of a target process."""
-
-    basis_label: str
-    rows: tuple  # (input id, fidelity, uncertainty)
-
-    def __post_init__(self):
-        for _, f, _ in self.rows:
-            if not -1e-9 <= f <= 1 + 1e-9:
-                raise ValueError(f"fidelity {f} outside [0, 1]")
-
-    def average(self) -> tuple:
-        """Mean fidelity and its quadrature-propagated uncertainty."""
-        fids = np.array([f for _, f, _ in self.rows])
-        uncs = np.array([u for _, _, u in self.rows])
-        return float(fids.mean()), float(np.sqrt(np.sum(uncs**2)) / len(self.rows))
-
-
-@dataclass(frozen=True)
-class FidelityBound:
-    """Two-sided process fidelity interval from complementary truth tables."""
-
-    lower: float
-    upper: float
-    lower_unc: float = 0.0
-    upper_unc: float = 0.0
-
-    def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
-            raise ValueError("lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
 class GhzMeasurementRecord:
     """Populations and parity oscillation amplitudes characterizing a
     cos(theta)|0..0> + sin(theta)|1..1> target."""
@@ -224,13 +191,17 @@ def simulate_qpt(program, shots: int | None = None, seed: int = 0) -> ProcessMat
 # -- process-fidelity bounds from two truth tables ---------------------------
 
 
-def hofmann_bounds(F1: float, F2: float, u1: float = 0.0, u2: float = 0.0) -> FidelityBound:
-    """Process fidelity interval F1 + F2 - 1 <= Fp <= min(F1, F2)."""
+def hofmann_bounds(F1: float, F2: float, u1: float = 0.0, u2: float = 0.0) -> dict:
+    """Process fidelity interval F1 + F2 - 1 <= Fp <= min(F1, F2), with uncertainties.
+
+    Returns lower, upper, lower_unc and upper_unc; with F1 and F2 in [0, 1],
+    lower never exceeds upper.
+    """
     for f in (F1, F2):
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"truth-table fidelity {f} outside [0, 1]")
     upper, upper_unc = (F1, u1) if F1 <= F2 else (F2, u2)
-    return FidelityBound(F1 + F2 - 1.0, upper, float(np.hypot(u1, u2)), upper_unc)
+    return {"lower": F1 + F2 - 1.0, "upper": upper, "lower_unc": float(np.hypot(u1, u2)), "upper_unc": upper_unc}
 
 
 # -- GHZ-class fidelity estimation ------------------------------------------

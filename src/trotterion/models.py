@@ -68,6 +68,7 @@ class FieldSpec:
 class RampSpec:
     """Linear coupling ramp J(theta) at fixed field B over total phase theta_t."""
 
+    n = 2  # spins; a class attribute, not a field
     theta_t: float
     J_start: float
     J_end: float

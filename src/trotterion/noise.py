@@ -57,35 +57,29 @@ def _phase_scale(kind: str, eps: float) -> float:
     return (1 + eps) ** 2 if kind in _QUADRATIC_KINDS else 1 + eps
 
 
-def perturb_sequence(seq: GateSequence, eps: float) -> GateSequence:
-    """Scale every gate phase by the stated power of (1 + eps)."""
-    if eps <= -1:
-        raise ValueError("relative coupling error must exceed -1")
+def _scaled(seq: GateSequence, factor_by_kind: dict) -> GateSequence:
+    """seq with every gate phase multiplied by its kind's factor (1 for a kind not listed)."""
     gates = tuple(
-        GateOp(g.kind, g.theta * _phase_scale(g.kind, eps), g.phi, g.target) for g in seq.gates
+        GateOp(g.kind, g.theta * factor_by_kind[g.kind], g.phi, g.target) if g.kind in factor_by_kind else g
+        for g in seq.gates
     )
     return GateSequence(seq.n, gates)
 
 
+def perturb_sequence(seq: GateSequence, eps: float) -> GateSequence:
+    """Scale every gate phase by the stated power of (1 + eps)."""
+    if eps <= -1:
+        raise ValueError("relative coupling error must exceed -1")
+    return _scaled(seq, {kind: _phase_scale(kind, eps) for kind in GATE_KINDS})
+
+
 def apply_miscalibration(program, kind: str, rel_err: float):
-    """Deterministically scale the phase of every gate of one kind."""
+    """Deterministically scale the phase of every gate of one kind, in a program or a sequence."""
     if abs(rel_err) >= 0.1:
         raise ValueError("miscalibration must stay below 10%")
-    seq = program.sequence if hasattr(program, "sequence") else program
-    gates = tuple(
-        GateOp(g.kind, g.theta * (1 + rel_err) if g.kind == kind else g.theta, g.phi, g.target)
-        for g in seq.gates
-    )
-    out = GateSequence(seq.n, gates)
     if hasattr(program, "sequence"):
-        return replace(program, sequence=out)
-    return out
-
-
-def _miscalibrated(seq: GateSequence, params: NoiseParams) -> GateSequence:
-    for kind, err in params.miscal.items():
-        seq = apply_miscalibration(seq, kind, err)
-    return seq
+        return replace(program, sequence=_scaled(program.sequence, {kind: 1 + rel_err}))
+    return _scaled(program, {kind: 1 + rel_err})
 
 
 def _draw_eps(rng, sigma: float) -> float:
@@ -121,7 +115,7 @@ def sample_checkpoints(seq: GateSequence, psi0: StateVector, outcomes, checkpoin
     value per shot; a hit fraction p estimates a probability as p and an
     expectation as 2p - 1.
     """
-    seq = _miscalibrated(seq, params)
+    seq = _scaled(seq, {kind: 1 + err for kind, err in params.miscal.items()})  # shots scale on top
     eps, uniforms = [], []
     for shot in range(params.shots):
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(shot,)))

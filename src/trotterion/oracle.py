@@ -19,8 +19,10 @@ coefficients sum to its radius. Coefficients below ``CHEBYSHEV_TOL`` are
 set to 0, so theta = 0 returns the initial state bit for bit. Full
 propagators (``propagator``, process-fidelity checks) and spectra stay dense
 at every size. The two-spin ramp's slices are built, diagonalised and
-exponentiated as one (S, 4, 4) stack, then multiplied in order. ``Exact``
-picks the route and rejects a non-finite theta.
+exponentiated as one (S, 4, 4) stack, then multiplied in order onto a state
+for its curve or onto the identity for its propagator, under one slicing
+policy, so the two agree at every theta. ``Exact`` picks the route and
+rejects a non-finite theta.
 """
 from __future__ import annotations
 
@@ -45,9 +47,8 @@ DENSE_MAX_SPINS = 6
 # set to 0; CHEBYSHEV_BLOCK (at least 3) vectors are summed per matrix product.
 CHEBYSHEV_TOL = 1e-15
 CHEBYSHEV_BLOCK = 32
-# Midpoint slices of a ramp's exact evolution: per unit of theta_t in
-# ramp_evolution, over the whole span in time_ordered_propagator. Doubling
-# it moves the bundled ramps by < 1e-8.
+# Midpoint slices per unit of theta_t of a ramp's exact evolution, for its
+# states and its propagator alike. Doubling it moves the bundled ramps by < 1e-8.
 RAMP_SLICES = 2000
 
 
@@ -180,31 +181,16 @@ def _ramp_steps(ramp: RampSpec, edges: np.ndarray, slices: np.ndarray) -> np.nda
     widths = np.repeat(np.diff(edges), slices) / np.repeat(slices, slices)
     k = np.arange(len(widths)) - np.repeat(np.cumsum(slices) - slices, slices)
     mids = np.repeat(edges[:-1], slices) + (k + 0.5) * widths
-    m = _stacked_matrices(2, _ising2_terms(ramp.B, ramp.J_at(mids)[:, None]))
+    m = _stacked_matrices(ramp.n, _ising2_terms(ramp.B, ramp.J_at(mids)[:, None]))
     _check_hermitian(m)
     return Spectrum(*np.linalg.eigh(m)).propagator(widths[:, None])
 
 
-def time_ordered_propagator(
-    ramp: RampSpec, fine_steps: int = RAMP_SLICES, theta_end: float | None = None
-) -> np.ndarray:
-    """Ordered product of fine_steps short exact propagators from 0 to theta_end.
+def _ramp_products(ramp: RampSpec, amps: np.ndarray, thetas) -> np.ndarray:
+    """The slices from 0 to each theta applied in order to amps, stacked on a last axis.
 
-    Uses the midpoint coupling of each slice.
-    """
-    if fine_steps < 1:
-        raise ValueError("fine_steps must be >= 1")
-    theta_end = ramp.theta_t if theta_end is None else theta_end
-    u = np.eye(4, dtype=complex)
-    for step in _ramp_steps(ramp, np.array([0.0, theta_end]), np.array([fine_steps])):
-        u = step @ u
-    return u
-
-
-def ramp_evolution(ramp: RampSpec, psi0: StateVector, thetas: np.ndarray) -> np.ndarray:
-    """States of the exact time-dependent evolution at the given phases, as columns (4, k).
-
-    Each span between phases takes RAMP_SLICES slices per unit of theta_t, rounded up.
+    Each span between phases takes RAMP_SLICES slices per unit of theta_t,
+    rounded up. amps is a state (4,) or, for the propagator, the identity (4, 4).
     """
     edges = np.concatenate([[0.0], np.asarray(thetas, dtype=float)])
     spans = np.diff(edges)
@@ -212,13 +198,17 @@ def ramp_evolution(ramp: RampSpec, psi0: StateVector, thetas: np.ndarray) -> np.
         raise ValueError("theta grid must be nonnegative and nondecreasing")
     slices = np.ceil(RAMP_SLICES * spans / ramp.theta_t).astype(int)  # 0 on a zero span
     steps = _ramp_steps(ramp, edges, slices)
-    states = np.empty((len(psi0.amps), len(spans)), dtype=complex)
-    psi, ends = psi0.amps, np.cumsum(slices)
-    for j, end in enumerate(ends):
+    out = np.empty(amps.shape + (len(spans),), dtype=complex)
+    for j, end in enumerate(np.cumsum(slices)):
         for step in steps[end - slices[j]:end]:
-            psi = step @ psi
-        states[:, j] = psi
-    return states
+            amps = step @ amps
+        out[..., j] = amps
+    return out
+
+
+def ramp_evolution(ramp: RampSpec, psi0: StateVector, thetas: np.ndarray) -> np.ndarray:
+    """States of the exact time-dependent evolution at the given phases, as columns (4, k)."""
+    return _ramp_products(ramp, psi0.amps, thetas)
 
 
 @dataclass(frozen=True)
@@ -239,7 +229,7 @@ class Exact:
         thetas = np.asarray(thetas, dtype=float)
         if not np.isfinite(thetas).all():
             raise ValueError("theta grid must be finite")
-        n = 2 if isinstance(self.model, RampSpec) else self.model.n
+        n = self.model.n
         if psi0.n != n:
             raise DimensionError(f"{psi0.n}-spin state for a {n}-spin model")
         if isinstance(self.model, RampSpec):
@@ -252,7 +242,9 @@ class Exact:
         return out
 
     def propagator(self, theta: float) -> np.ndarray:
-        """The full 2^n x 2^n propagator from 0 to theta."""
+        """The full 2^n x 2^n propagator from 0 to theta; a ramp's is its slices applied to the identity."""
+        if not np.isfinite(theta):
+            raise ValueError("theta must be finite")
         if isinstance(self.model, RampSpec):
-            return time_ordered_propagator(self.model, theta_end=theta)
+            return _ramp_products(self.model, np.eye(4, dtype=complex), [theta])[..., 0]
         return self.spectrum.propagator(theta)

@@ -198,7 +198,8 @@ def test_run_is_deterministic(tmp_path):
     p.write_text(json.dumps(cfg))
     a = run_scenario(str(p), str(tmp_path / "a"))
     b = run_scenario(str(p), str(tmp_path / "b"))
-    assert open(a, "rb").read() == open(b, "rb").read()
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
@@ -828,20 +829,59 @@ def test_bound_subcommand(capsys):
     assert report["lower"] == pytest.approx(report["F1"] + report["F2"] - 1, abs=1e-9)
 
 
+_GHZ_HEADER = "input,parity1,parity2,population1,population2,fidelity,parity1_unc\n"
+
+
 @pytest.mark.parametrize(
-    "eigen_table",
-    [None, "input,fidelity,fidelity_unc\nzz,high,0.01\n", "input,fidelity,fidelity_unc\nzz,1.5,0.01\n",
-     "input,fidelity,fidelity_unc\nzz,1.5,0.01\nzu,0.3,0.01\n"],
-    ids=["directory", "non_numeric_cell", "fidelity_above_one", "fidelity_above_one_in_a_valid_mean"],
+    "eigen_table, ghz_table",
+    [
+        ("directory", None),
+        ("input,fidelity,fidelity_unc\nzz,high,0.01\n", None),
+        ("input,fidelity,fidelity_unc\nzz,1.5,0.01\n", None),
+        ("input,fidelity,fidelity_unc\nzz,1.5,0.01\nzu,0.3,0.01\n", None),
+        ("input,fidelity,fidelity_unc\nzz,nan,0.01\n", None),
+        ("input,fidelity,fidelity_unc\nzz,inf,0.01\n", None),
+        ("input,fidelity,fidelity_unc\nzz,0.9,nan\n", None),
+        ("input,fidelity,fidelity_unc\nzz,0.9,inf\n", None),
+        ("input,fidelity,fidelity_unc\nzz,0.9,-5\n", None),
+        ("input,fidelity,fidelity_unc\nzz,0.9,-0.01\nzu,0.9,0.01\n", None),
+        (None, _GHZ_HEADER + "+y,nan,-0.9,0.5,0.4,0.9,0.04\n"),
+        (None, _GHZ_HEADER + "+y,0.9,-inf,0.5,0.4,0.9,0.04\n"),
+        (None, _GHZ_HEADER + "+y,0.9,-0.9,nan,0.4,0.9,0.04\n"),
+        (None, _GHZ_HEADER + "+y,0.9,-0.9,0.5,inf,0.9,0.04\n"),
+        (None, _GHZ_HEADER + "+y,0.9,-0.9,0.5,0.4,0.9,nan\n"),
+        (None, _GHZ_HEADER + "+y,0.9,-0.9,0.5,0.4,0.9,-0.04\n"),
+    ],
+    ids=["directory", "non_numeric_cell", "fidelity_above_one", "fidelity_above_one_in_a_valid_mean",
+         "nan_fidelity", "inf_fidelity", "nan_uncertainty", "inf_uncertainty", "negative_uncertainty",
+         "negative_uncertainty_in_a_valid_mean", "nan_parity", "inf_parity", "nan_population",
+         "inf_population", "nan_parity_uncertainty", "negative_parity_uncertainty"],
 )
-def test_exit_code_bad_tables(tmp_path, capsys, eigen_table):
-    eigen = tmp_path / "eigen.csv"
-    if eigen_table is None:
-        eigen.mkdir()
-    else:
-        eigen.write_text(eigen_table)
-    assert main(["bound", "--tables", str(eigen), bundled_fixture("truth_table_3spin_ghz.csv")]) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+def test_exit_code_bad_tables(tmp_path, capsys, eigen_table, ghz_table):
+    # None stands for the bundled three-spin table of that kind
+    tables = []
+    for name, table in [("eigen", eigen_table), ("ghz", ghz_table)]:
+        path = tmp_path / f"{name}.csv"
+        if table is None:
+            path = bundled_fixture(f"truth_table_3spin_{name}.csv")
+        elif table == "directory":
+            path.mkdir()
+        else:
+            path.write_text(table)
+        tables.append(str(path))
+    assert main(["bound", "--tables", *tables]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_exit_code_non_finite_bound_theta(capsys, theta):
+    tables = [bundled_fixture("truth_table_3spin_eigen.csv"), bundled_fixture("truth_table_3spin_ghz.csv")]
+    assert main(["bound", "--tables", *tables, f"--theta={theta}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: theta must be finite")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ from trotterion.models import (
     many_body_model,
     xyz2,
 )
-from trotterion.oracle import propagator, sparse_evolution, time_ordered_propagator
+from trotterion.oracle import Exact, propagator, sparse_evolution
 from trotterion.pauli import PauliString, StateVector, WeightedPauliSum, hamming_histogram
 
 THETA_A = np.pi / (2 * np.sqrt(2))
@@ -211,7 +211,7 @@ def test_time_dependent_gate_count_and_accuracy():
     assert prog.checkpoints == (1, 3, 5, 8, 11, 15, 19, 24)
     psi0 = StateVector.all_down(2)
     out = prog.checkpoint_states(psi0)[-1]
-    exact = time_ordered_propagator(ramp, 2000) @ psi0.amps
+    exact = Exact(ramp).propagator(ramp.theta_t) @ psi0.amps
     assert abs(np.vdot(exact, out.amps)) ** 2 > 0.97
 
 

@@ -6,7 +6,6 @@ from scipy.stats import unitary_group
 from trotterion.compiler import compile_first_order
 from trotterion.gates import GateOp, GateSequence, apply_gate, sequence_unitary
 from trotterion.metrics import (
-    FidelityBound,
     GhzMeasurementRecord,
     ProcessMatrix,
     chi_overlap,
@@ -89,14 +88,14 @@ def test_qpt_matches_trotter_fidelity():
 
 def test_hofmann_bounds_formula():
     b = hofmann_bounds(0.9, 0.8, 0.01, 0.02)
-    assert b.lower == pytest.approx(0.7)
-    assert b.upper == pytest.approx(0.8)
-    assert b.upper_unc == pytest.approx(0.02)
-    assert b.lower_unc == pytest.approx(np.hypot(0.01, 0.02))
-    with pytest.raises(ValueError):
-        hofmann_bounds(1.2, 0.5)
-    with pytest.raises(ValueError):
-        FidelityBound(0.9, 0.5)
+    assert set(b) == {"lower", "upper", "lower_unc", "upper_unc"}
+    assert b["lower"] == pytest.approx(0.7)
+    assert b["upper"] == pytest.approx(0.8)
+    assert b["upper_unc"] == pytest.approx(0.02)
+    assert b["lower_unc"] == pytest.approx(np.hypot(0.01, 0.02))
+    for bad in (1.2, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            hofmann_bounds(bad, 0.5)
 
 
 def ghz_record(state: StateVector, theta: float) -> GhzMeasurementRecord:

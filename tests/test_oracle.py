@@ -29,7 +29,6 @@ from trotterion.oracle import (
     ramp_evolution,
     sparse_evolution,
     spectrum,
-    time_ordered_propagator,
 )
 from trotterion.pauli import DimensionError, PauliString, StateVector, WeightedPauliSum, _stacked_matrices, hamiltonian_matrix
 
@@ -83,27 +82,39 @@ def test_eigenstate_is_stationary():
     assert abs(np.vdot(vec, out)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_time_ordered_constant_ramp_matches_propagator():
+def test_time_ordered_constant_ramp_matches_propagator(monkeypatch):
+    monkeypatch.setattr("trotterion.oracle.RAMP_SLICES", 50)
     ramp = RampSpec(1.0, 2.0, 2.0, 1.0)  # J constant: ordering is trivial
-    u = time_ordered_propagator(ramp, 50)
     want = propagator(ising2(1.0, 2.0), 1.0)
-    assert np.allclose(u, want, atol=1e-8)
+    assert np.allclose(Exact(ramp).propagator(1.0), want, atol=1e-8)
 
 
-def test_time_ordered_converges():
+def test_time_ordered_converges(monkeypatch):
     ramp = RampSpec(np.pi / 2, 0.0, 4.0, 1.0)
-    u1 = time_ordered_propagator(ramp, 1000)
-    u2 = time_ordered_propagator(ramp, 2000)
-    assert np.max(np.abs(u1 - u2)) < 1e-6
+    props = []
+    for slices in (1000, 2000):
+        monkeypatch.setattr("trotterion.oracle.RAMP_SLICES", slices)
+        props.append(Exact(ramp).propagator(ramp.theta_t))
+    assert np.max(np.abs(props[0] - props[1])) < 1e-6
 
 
 def test_ramp_evolution_endpoint_matches_propagator_product():
     ramp = RampSpec(np.pi / 2, 0.0, 4.0, 1.0)
     psi0 = StateVector.all_down(2)
     states = ramp_evolution(ramp, psi0, np.array([0.0, np.pi / 4, np.pi / 2]))
-    final = time_ordered_propagator(ramp, 2000) @ psi0.amps
+    final = Exact(ramp).propagator(np.pi / 2) @ psi0.amps
     assert abs(np.vdot(final, states[:, -1])) == pytest.approx(1.0, abs=1e-6)
     assert abs(np.vdot(states[:, 0], psi0.amps)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("ramp", [RampSpec(np.pi / 2, 0.0, 4.0, 1.0), RampSpec(1.3, -2.5, 0.75, -0.6)])
+def test_ramp_propagator_applied_to_a_state_is_its_exact_curve(ramp):
+    # one slicing policy: the verify target and the exact curve agree at every theta
+    psi0 = StateVector.from_label("ud")
+    exact = Exact(ramp)
+    for theta in np.linspace(0.0, 1.2 * ramp.theta_t, 25):
+        got = exact.propagator(theta) @ psi0.amps
+        assert np.max(np.abs(got - exact.states(psi0, [theta])[:, 0])) <= 1e-13, theta
 
 
 def _per_slice_steps(ramp, start, stop, slices):
@@ -151,11 +162,14 @@ def test_stacked_ramp_evolution_is_bit_identical_to_per_slice(thetas):
     assert np.array_equal(ramp_evolution(FIG1B_RAMP, psi0, thetas), _per_slice_evolution(FIG1B_RAMP, psi0, thetas))
 
 
-@pytest.mark.parametrize("fine_steps", [1, 50, 2000])
-@pytest.mark.parametrize("theta_end", [None, 0.9])
-def test_stacked_time_ordered_propagator_is_bit_identical_to_per_slice(fine_steps, theta_end):
-    want = _per_slice_propagator(FIG1B_RAMP, fine_steps, FIG1B_RAMP.theta_t if theta_end is None else theta_end)
-    assert np.array_equal(time_ordered_propagator(FIG1B_RAMP, fine_steps, theta_end), want)
+@pytest.mark.parametrize("per_unit", [1, 50, RAMP_SLICES])
+@pytest.mark.parametrize("theta_end", [None, 0.9])  # None: theta_t
+def test_stacked_time_ordered_propagator_is_bit_identical_to_per_slice(monkeypatch, per_unit, theta_end):
+    monkeypatch.setattr("trotterion.oracle.RAMP_SLICES", per_unit)
+    theta_end = FIG1B_RAMP.theta_t if theta_end is None else theta_end
+    slices = int(np.ceil(per_unit * theta_end / FIG1B_RAMP.theta_t))
+    want = _per_slice_propagator(FIG1B_RAMP, slices, theta_end)
+    assert np.array_equal(Exact(FIG1B_RAMP).propagator(theta_end), want)
 
 
 @pytest.mark.parametrize("ramp", [FIG1B_RAMP, RampSpec(1.3, -2.5, 0.75, -0.6)])
@@ -330,7 +344,8 @@ def test_exact_routes_a_ramp_to_the_time_ordered_functions():
     thetas = np.linspace(0.0, np.pi / 2, 5)
     exact = Exact(ramp)
     assert np.array_equal(exact.states(psi0, thetas), ramp_evolution(ramp, psi0, thetas))
-    assert np.array_equal(exact.propagator(0.9), time_ordered_propagator(ramp, RAMP_SLICES, 0.9))
+    slices = int(np.ceil(RAMP_SLICES * 0.9 / ramp.theta_t))
+    assert np.array_equal(exact.propagator(0.9), _per_slice_propagator(ramp, slices, 0.9))
 
 
 @pytest.mark.parametrize("n", [DENSE_MAX_SPINS, DENSE_MAX_SPINS + 1])
@@ -365,6 +380,8 @@ def test_exact_states_rejects_a_non_finite_theta(route, theta):
     model, n = route_model(route)
     with pytest.raises(ValueError, match="theta grid must be finite"):
         Exact(model).states(StateVector.all_up(n), [0.0, theta, 1.0])
+    with pytest.raises(ValueError, match="theta must be finite"):
+        Exact(model).propagator(theta)
 
 
 @EXACT_ROUTES
