@@ -29,7 +29,7 @@ from .compiler import (
     compile_time_dependent,
 )
 from .gates import DurationModel, apply_sequence, sequence_stats, sequence_unitary
-from .metrics import GhzMeasurementRecord, ghz_fidelity, hofmann_bounds, process_fidelity, tangle2
+from .metrics import GhzMeasurementRecord, ghz_fidelity, hofmann_bounds, process_fidelity, tangles
 from .models import (
     CouplingGraph,
     FieldSpec,
@@ -43,7 +43,7 @@ from .models import (
 )
 from .noise import NoiseParams, sample_checkpoints
 from .oracle import Exact
-from .pauli import MAX_SPINS, PauliString, StateVector, WeightedPauliSum, _popcounts, columnwise, expectation
+from .pauli import MAX_SPINS, PauliString, StateVector, WeightedPauliSum, _popcounts, expectations
 
 SCHEMA_VERSION = 1
 
@@ -350,7 +350,7 @@ def parse_observable(spec, n: int):
             p = PauliString(n, parts[1])
         except ValueError as e:
             raise ConfigError(f"observable {spec!r} on {n} spins: {e}") from e
-        return spec, columnwise(partial(expectation, p=p)), False
+        return spec, partial(expectations, p=p), False
     if parts[0] == "pop" and len(parts) == 3:
         bra = parse_state(f"{parts[1]}:{parts[2]}", n).amps.conj()
         return spec, lambda amps: np.abs(np.einsum("i,ik->k", bra, amps)) ** 2, True
@@ -362,7 +362,7 @@ def parse_observable(spec, n: int):
     if spec == "tangle":
         if n != 2:
             raise ConfigError(f"observable 'tangle' needs exactly 2 spins, not {n}")
-        return spec, columnwise(tangle2), True
+        return spec, tangles, True
     raise ConfigError(f"unknown observable {spec!r}")
 
 

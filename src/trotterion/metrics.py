@@ -12,15 +12,10 @@ from itertools import product
 import numpy as np
 
 from .gates import sequence_unitary
-from .pauli import (
-    DimensionError,
-    PauliString,
-    StateVector,
-    apply_pauli,
-    expectation,
-)
+from .pauli import DimensionError, PauliString, StateVector, _column_products, expectation
 
 _LETTERS = "IXYZ"
+_YY = PauliString(2, "YY")
 
 
 @dataclass(frozen=True)
@@ -87,13 +82,15 @@ def chi_overlap(a: ProcessMatrix, b: ProcessMatrix) -> float:
     return float(np.trace(a.chi @ b.chi).real / (ta * tb))
 
 
+def tangles(amps: np.ndarray) -> np.ndarray:
+    """Concurrence squared |psi^T YY psi|^2 of every two-spin state psi in the columns of amps (4, k)."""
+    # modulus and square per scalar, as the bundled CSVs carry them; numpy's array forms round otherwise
+    return np.clip([abs(c) ** 2 for c in _column_products(amps, _YY, np.dot)], 0.0, 1.0)
+
+
 def tangle2(state: StateVector) -> float:
-    """Concurrence squared of a two-spin pure state (spin-flip construction)."""
-    if state.n != 2:
-        raise DimensionError("tangle is defined here for exactly 2 spins")
-    flipped = apply_pauli(state, PauliString(2, "YY"))
-    conc = abs(np.dot(state.amps, flipped.amps))
-    return float(np.clip(conc**2, 0.0, 1.0))
+    """Concurrence squared of a two-spin pure state."""
+    return float(tangles(state.amps[:, None])[0])
 
 
 # -- process tomography ------------------------------------------------------

@@ -225,8 +225,10 @@ class Exact:
         return spectrum(self.model)
 
     def states(self, psi0: StateVector, thetas) -> np.ndarray:
-        """exp(-i theta H) psi0, or the ramp's ordered evolution, as columns (2^n, k)."""
+        """exp(-i theta H) psi0, or the ramp's ordered evolution, as columns (2^n, k), for a 1-d grid."""
         thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 1:
+            raise ValueError(f"theta grid must be one-dimensional, not of shape {thetas.shape}")
         if not np.isfinite(thetas).all():
             raise ValueError("theta grid must be finite")
         n = self.model.n

@@ -148,34 +148,6 @@ class StateVector:
         return complex(np.vdot(self.amps, other.amps))
 
 
-def _apply_single_spin(amps: np.ndarray, n: int, j: int, mat: np.ndarray) -> np.ndarray:
-    """Apply one 2x2 matrix to spin j of an amplitude vector (2^n,) or of every column of (2^n, k)."""
-    # rows: bit j of the index; columns: the index bits above and below j and
-    # the column. This one BLAS product fixes the rounding the statevector
-    # results (and the bundled CSVs) carry. A batch column equals its vector
-    # result bit for bit from n = 3 on, and to about 1e-15 below that
-    pairs = amps.reshape(2 ** (n - 1 - j), 2, -1).transpose(1, 0, 2)
-    out = np.dot(mat, pairs.reshape(2, -1)).reshape(pairs.shape)
-    return out.transpose(1, 0, 2).reshape(amps.shape)
-
-
-def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
-    """Return P|psi> for a Pauli string P."""
-    if p.n != state.n:
-        raise DimensionError(f"operator on {p.n} spins applied to {state.n}-spin state")
-    amps = state.amps
-    for j, c in enumerate(p.ops):
-        if c != "I":
-            amps = _apply_single_spin(amps, state.n, j, _PAULI_MATS[c])
-    return StateVector(state.n, amps)
-
-
-def expectation(state: StateVector, p: PauliString) -> float:
-    """<psi|P|psi>; real for Pauli strings, clipped to [-1, 1]."""
-    val = np.vdot(state.amps, apply_pauli(state, p).amps)
-    return float(np.clip(val.real, -1.0, 1.0))
-
-
 @lru_cache(maxsize=MAX_SPINS)
 def _popcounts(n: int) -> np.ndarray:
     """Number of set bits (down spins) of every basis index; read-only."""
@@ -184,60 +156,77 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
+@lru_cache(maxsize=128)
+def _action(p: PauliString) -> tuple:
+    """A Pauli string's action on the basis: it maps index ``col`` to ``col ^ x`` times ``phase[col]``.
+
+    x marks the X/Y spins and ``phase = i**nY * (-1)**popcount(col & z)``,
+    where z marks the Y/Z spins and nY counts the Y letters. Every phase is
+    +-1 or +-i, so multiplying by one is exact. Returns (x, read-only phase).
+    """
+    x = sum(1 << j for j, c in enumerate(p.ops) if c in "XY")
+    z = sum(1 << j for j, c in enumerate(p.ops) if c in "YZ")
+    phase = (1, 1j, -1, -1j)[p.ops.count("Y") % 4] * (1 - 2 * (_popcounts(p.n)[np.arange(2**p.n) & z] & 1))
+    phase.setflags(write=False)
+    return x, phase
+
+
+def _pauli_applied(amps: np.ndarray, p: PauliString) -> np.ndarray:
+    """P applied to amplitudes (2^n,) or to every row of (k, 2^n): a phase, then a gather."""
+    if amps.shape[-1] != 2**p.n:
+        raise DimensionError(f"operator on {p.n} spins applied to {amps.shape[-1]} amplitudes")
+    x, phase = _action(p)
+    # np.take keeps each row contiguous, as _column_products needs; amps[..., idx] would not
+    return np.take(phase * amps, np.arange(2**p.n) ^ x, axis=-1)
+
+
+def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
+    """Return P|psi> for a Pauli string P."""
+    return StateVector(state.n, _pauli_applied(state.amps, p))
+
+
+def _column_products(amps: np.ndarray, p: PauliString, product) -> np.ndarray:
+    """``product(psi, P psi)`` for every column psi of amps (2^n, k), as complex values (k,).
+
+    Every ``pauli:`` and ``tangle`` value is rounded here, as the bundled CSVs
+    carry it: one BLAS call (``np.vdot`` or ``np.dot``) per pair of contiguous
+    vectors. A strided column, or one product over the batch, rounds otherwise.
+    """
+    cols = np.ascontiguousarray(amps.T)
+    return np.array([product(u, v) for u, v in zip(cols, _pauli_applied(cols, p))], dtype=complex)
+
+
+def expectations(amps: np.ndarray, p: PauliString) -> np.ndarray:
+    """<psi|P|psi> of every column psi of amps (2^n, k), clipped to [-1, 1]."""
+    return np.clip(_column_products(amps, p, np.vdot).real, -1.0, 1.0)
+
+
+def expectation(state: StateVector, p: PauliString) -> float:
+    """<psi|P|psi>; real for Pauli strings, clipped to [-1, 1]."""
+    return float(expectations(state.amps[:, None], p)[0])
+
+
 def hamming_histogram(state: StateVector) -> np.ndarray:
     """Probability of finding exactly i spins pointing down, i = 0..n."""
     return np.bincount(_popcounts(state.n), weights=state.probabilities(), minlength=state.n + 1)
 
 
-def columnwise(fn):
-    """Batch form of a per-state function: amplitudes (2^n, k) -> values (k,).
-
-    Calls ``fn`` on a ``StateVector`` of each column in turn, for values
-    that have no array form over the whole batch. Each column is copied to
-    contiguous memory first: on a strided view the BLAS products inside
-    ``expectation`` and ``tangle2`` round differently in the last bits.
-    """
-
-    def batch(amps: np.ndarray) -> np.ndarray:
-        n = amps.shape[0].bit_length() - 1
-        cols = np.ascontiguousarray(amps.T)
-        return np.array([fn(StateVector(n, col)) for col in cols], dtype=float)
-
-    return batch
-
-
-_I_POWERS = (1, 1j, -1, -1j)
-
-
 def _elements_by_flip(n: int, terms) -> dict:
-    """The matrix elements of a sum of terms, grouped by the bits each term flips.
+    """The matrix elements of a sum of terms, grouped by the bits x each term flips (see ``_action``).
 
-    A Pauli string maps basis index ``col`` to ``col ^ x`` with phase
-    ``i**nY * (-1)**popcount(col & z)``, where x marks its X/Y spins, z its
-    Y/Z spins and nY counts its Y letters. Returns x -> values, where
-    ``values[..., col]`` is the element in row ``col ^ x`` and column ``col``.
-    An (S, 1) coefficient column gives one matrix of a stack per entry, each rounded alike.
-    Terms are added in order from zero, in the order a dense sum adds them.
+    ``values[..., col]`` is the element in row ``col ^ x`` and column ``col``. An
+    (S, 1) coefficient column gives one matrix of a stack per entry, each rounded
+    alike. Terms are added in order from zero, in the order a dense sum adds them.
     """
-    cols = np.arange(2**n)
-    parity = _popcounts(n) & 1
     by_flip = {}
     for coeff, p in terms:
-        x = sum(1 << j for j, c in enumerate(p.ops) if c in "XY")
-        z = sum(1 << j for j, c in enumerate(p.ops) if c in "YZ")
-        signs = 1 - 2 * parity[cols & z]
-        values = coeff * _I_POWERS[p.ops.count("Y") % 4] * signs
-        if x not in by_flip:
-            by_flip[x] = np.zeros(values.shape, dtype=complex)
-        by_flip[x] += values
+        x, phase = _action(p)
+        by_flip[x] = by_flip.get(x, 0j) + coeff * phase
     return by_flip
 
 
 def hamiltonian_matrix(h: WeightedPauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of a weighted Pauli sum.
-
-    Equals ``sum(coeff * p.matrix())`` over the terms in order, exactly.
-    """
+    """Dense Hermitian matrix of a weighted Pauli sum: ``sum(coeff * p.matrix())`` in term order, exactly."""
     return _stacked_matrices(h.n, h.terms)
 
 

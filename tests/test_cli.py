@@ -173,7 +173,7 @@ def test_bundled_outputs_byte_identical(tmp_path):
 
 
 def test_fig2_ising_runs_without_numpy_axis_helpers(tmp_path, monkeypatch):
-    # every rotation and pauli: value goes through _apply_single_spin, whose
+    # every rotation goes through gates._apply_single_spin, whose
     # vector path is one np.dot on a two-row view
     def refuse(*args, **kwargs):
         raise AssertionError("np.tensordot/np.moveaxis called on the statevector path")

@@ -18,7 +18,7 @@ from trotterion.metrics import (
 )
 from trotterion.models import ising2
 from trotterion.oracle import propagator
-from trotterion.pauli import PauliString, StateVector, expectation
+from trotterion.pauli import DimensionError, PauliString, StateVector, expectation
 
 
 def bell_state() -> StateVector:
@@ -44,6 +44,8 @@ def test_process_fidelity_phase_invariant():
 def test_tangle():
     assert tangle2(bell_state()) == pytest.approx(1.0)
     assert tangle2(StateVector.all_up(2)) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(DimensionError):
+        tangle2(StateVector.all_up(3))
 
 
 def test_unitary_chi_identity():

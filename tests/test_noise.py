@@ -1,6 +1,7 @@
 """Coupling-fluctuation noise model tests."""
 import csv
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from trotterion.noise import (
     sample_checkpoints,
     shot_states,
 )
-from trotterion.pauli import PauliString, StateVector, columnwise, expectation
+from trotterion.pauli import PauliString, StateVector, expectation, expectations
 
 THETA_A = np.pi / (2 * np.sqrt(2))
 
@@ -88,12 +89,18 @@ def test_shot_states_match_each_perturbed_sequence(name):
             assert np.max(np.abs(batch[:, k] - want)) < 1e-12
 
 
-def pop_up(state):
-    return float(abs(state.amps[0]) ** 2)
+def pop_up(amps):
+    """Population of all spins up in every column of amps (2^n, k)."""
+    return np.abs(amps[0]) ** 2
+
+
+def per_state(fn):
+    """A batch value function applied to one state."""
+    return lambda s: fn(s.amps[:, None])[0]
 
 
 def pauli_batch(p):
-    return columnwise(lambda s: expectation(s, p)), False
+    return partial(expectations, p=p), False
 
 
 def test_noise_params_validation():
@@ -152,10 +159,10 @@ def test_engine_matches_per_shot_reference(tmp_path):
     zz = PauliString(2, "ZZ")
     checkpoints = (len(prog.sequence),)
     est, err = reference_shots(
-        prog.sequence, psi0, [(lambda s: expectation(s, zz), False), (pop_up, True)], checkpoints, params,
+        prog.sequence, psi0, [(lambda s: expectation(s, zz), False), (per_state(pop_up), True)], checkpoints, params,
     )
     got, got_err = sample_checkpoints(
-        prog.sequence, psi0, [pauli_batch(zz), (columnwise(pop_up), True)], checkpoints, params,
+        prog.sequence, psi0, [pauli_batch(zz), (pop_up, True)], checkpoints, params,
     )
     assert np.array_equal(got, est)
     assert np.array_equal(got_err, err)
@@ -173,10 +180,7 @@ def test_engine_matches_per_shot_reference(tmp_path):
     path.write_text(json.dumps(scenario))
     with open(run_scenario(str(path), str(tmp_path))) as f:
         rows = [r for r in csv.DictReader(f) if r["variant"] == "noisy"]
-    outcomes = [
-        (lambda s, fn=fn: fn(s.amps[:, None])[0], is_prob)
-        for _, fn, is_prob in (parse_observable(spec, 2) for spec in specs)
-    ]
+    outcomes = [(per_state(fn), is_prob) for _, fn, is_prob in (parse_observable(spec, 2) for spec in specs)]
     est, err = reference_shots(prog.sequence, psi0, outcomes, prog.checkpoints, params)
     got = np.array([[float(r[s]) for s in specs] for r in rows])
     got_err = np.array([[float(r[s + "_err"]) for s in specs] for r in rows])
@@ -201,9 +205,9 @@ def test_sampled_mode_is_deterministic_per_seed():
 def test_sampled_mode_converges_to_exact_at_zero_sigma():
     prog = small_program()
     psi0 = StateVector.all_up(2)
-    exact = pop_up(apply_sequence(psi0, prog.sequence))
+    exact = per_state(pop_up)(apply_sequence(psi0, prog.sequence))
     (est,), (err,) = sample_checkpoints(
-        prog.sequence, psi0, [(columnwise(pop_up), True)], (len(prog.sequence),),
+        prog.sequence, psi0, [(pop_up, True)], (len(prog.sequence),),
         NoiseParams(0.0, shots=4000, seed=1),
     )
     assert est[0] == pytest.approx(exact, abs=5 * err[0])

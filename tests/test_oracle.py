@@ -1,5 +1,6 @@
 """Exact-propagation oracle tests."""
 import os
+import re
 import subprocess
 import sys
 
@@ -389,6 +390,17 @@ def test_exact_states_on_an_empty_grid_is_empty(route):
     model, n = route_model(route)
     out = Exact(model).states(StateVector.all_up(n), [])
     assert out.shape == (2**n, 0) and out.dtype == complex
+
+
+@pytest.mark.parametrize("grid", [0.5, [[0.0, 0.5]], [[0.0], [0.5]]], ids=["0-d", "row", "column"])
+@EXACT_ROUTES
+def test_exact_states_rejects_a_grid_that_is_not_one_dimensional(route, grid):
+    model, n = route_model(route)
+    exact = Exact(model)
+    message = f"theta grid must be one-dimensional, not of shape {np.shape(grid)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        exact.states(StateVector.all_up(n), grid)
+    assert "spectrum" not in vars(exact)  # refused before any work
 
 
 @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.5, 1.0]])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotterion.gates import _phi_basis_change
+from trotterion.gates import _apply_single_spin, _phi_basis_change
+from trotterion.metrics import tangle2, tangles
 from trotterion.pauli import (
     MAX_SPINS,
     DimensionError,
@@ -12,9 +13,10 @@ from trotterion.pauli import (
     StateVector,
     WeightedPauliSum,
     _PAULI_MATS,
-    _apply_single_spin,
+    _pauli_applied,
     apply_pauli,
     expectation,
+    expectations,
     hamiltonian_matrix,
     hamiltonian_sparse,
     hamming_histogram,
@@ -43,8 +45,8 @@ def random_state(n: int, seed: int) -> StateVector:
 
 
 @st.composite
-def pauli_strings(draw):
-    n = draw(st.integers(1, 5))
+def pauli_strings(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
     ops = "".join(draw(st.sampled_from("IXYZ")) for _ in range(n))
     return PauliString(n, ops)
 
@@ -75,6 +77,53 @@ def test_expectation_matches_dense_oracle(p, seed):
     psi = random_state(p.n, seed)
     want = np.vdot(psi.amps, dense_pauli(p) @ psi.amps).real
     assert expectation(psi, p) == pytest.approx(want, abs=1e-12)
+
+
+def state_batch(kind: str, n: int, k: int, seed: int) -> np.ndarray:
+    """k states of n spins as columns (2^n, k): complex, real or basis states."""
+    rng = np.random.default_rng(seed)
+    if kind == "basis":
+        amps = np.zeros((2**n, k), dtype=complex)
+        amps[rng.integers(0, 2**n, size=k), np.arange(k)] = 1.0
+        return amps
+    amps = rng.standard_normal((2**n, k)).astype(complex)
+    if kind == "complex":
+        amps += 1j * rng.standard_normal((2**n, k))
+    return amps / np.linalg.norm(amps, axis=0)
+
+
+BATCH_KINDS = st.sampled_from(["complex", "real", "basis"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_strings(6), st.integers(0, 5), BATCH_KINDS, st.integers(0, 2**32 - 1))
+def test_pauli_applied_to_a_batch_is_its_dense_matrix_product(p, k, kind, seed):
+    amps = state_batch(kind, p.n, k, seed)
+    assert np.array_equal(_pauli_applied(amps.T, p).T, p.matrix() @ amps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_strings(6), st.integers(0, 5), BATCH_KINDS, st.integers(0, 2**32 - 1))
+def test_batch_observables_equal_per_state_values_bit_for_bit(p, k, kind, seed):
+    amps = state_batch(kind, p.n, k, seed)
+    cols = np.ascontiguousarray(amps.T)
+    states = [StateVector(p.n, c) for c in cols]
+    # the per-state values, and the rounding contract written out: one BLAS
+    # inner product per contiguous column, then scalar arithmetic
+    pairs = [
+        (expectations(amps, p), [expectation(s, p) for s in states]),
+        (expectations(amps, p), [np.clip(np.vdot(c, p.matrix() @ c).real, -1, 1) for c in cols]),
+    ]
+    if p.n == 2:
+        yy = PauliString(2, "YY").matrix()
+        pairs += [
+            (tangles(amps), [tangle2(s) for s in states]),
+            (tangles(amps), [np.clip(abs(np.dot(c, yy @ c)) ** 2, 0, 1) for c in cols]),
+        ]
+    for got, want in pairs:
+        assert got.shape == (k,)
+        # compared as int64 so that a signed zero or a last-bit difference counts
+        assert np.array_equal(got.view(np.int64), np.array(want, dtype=float).view(np.int64))
 
 
 def tensordot_reference(amps, n, j, mat):
